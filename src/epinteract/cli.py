@@ -121,6 +121,19 @@ def run(args) -> int:
     except ValueError:
         print(f"error: cannot parse levels {args.levels!r}", file=sys.stderr)
         return EXIT_INPUT
+    if args.bins < 1:
+        print(f"error: --bins must be >= 1, got {args.bins}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        config = SimulationConfig(
+            n_draws=args.draws,
+            seed=args.seed,
+            levels=levels,
+            covariance_choice="robust" if args.covariance == "robust" else "model_based",
+        )
+    except ValueError as exc:
+        print(f"error: simulation config: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     try:
         data = load_fixture(args.fixture) if args.fixture else Dataset.from_csv(args.input)
@@ -149,16 +162,6 @@ def run(args) -> int:
         return EXIT_NO_CONVERGE
 
     dist = covariate_distribution(data)
-    try:
-        config = SimulationConfig(
-            n_draws=args.draws,
-            seed=args.seed,
-            levels=levels,
-            covariance_choice="robust" if args.covariance == "robust" else "model_based",
-        )
-    except ValueError as exc:
-        print(f"error: simulation config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     sim = simulate(fitted, spec, dist, config, data.covariate_names)
     point = measure_set(fitted.coefficients, spec, dist, data.covariate_names)
 

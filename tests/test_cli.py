@@ -146,3 +146,31 @@ class TestErrorPaths:
             "--levels", "abc", "--out", str(tmp_path),
         )
         assert rc == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--seed", "-1"),
+            ("--seed", str(2**128)),
+            ("--bins", "0"),
+            ("--draws", "1"),
+        ],
+    )
+    def test_bad_argument_rejected_before_any_output(self, tmp_path, capsys,
+                                                     flag, value):
+        out = tmp_path / "out"
+        rc = run_cli(
+            "--fixture", "nguyen2008", "--formula", FULL_MODEL,
+            "--draws", "10", flag, value, "--out", str(out),
+        )
+        assert rc == cli.EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        rc = run_cli(
+            "--fixture", "nguyen2008", "--formula", FULL_MODEL,
+            "--draws", "10", "--seed", str(2**128 - 1), "--format", "json",
+            "--out", str(tmp_path),
+        )
+        assert rc == cli.EXIT_OK

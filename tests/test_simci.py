@@ -1,14 +1,26 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 import epinteract as ei
+from epinteract import simci
 from epinteract.simci import (
+    CHUNK,
+    IntervalEstimate,
     NotPositiveSemiDefiniteError,
     SimulationConfig,
+    SimulationResult,
+    _normal_block,
+    _open_unit,
+    _standard_normals,
     cholesky,
     draw_parameters,
+    export_draws_csv,
     histogram,
     percentile_interval,
     simulate,
@@ -244,3 +256,109 @@ class TestConfig:
             SimulationConfig(levels=(0.0, 0.95))
         with pytest.raises(ValueError):
             SimulationConfig(covariance_choice="bootstrap")
+
+    def test_seed_range(self):
+        # Philox keys are 128-bit: anything outside is rejected up front
+        with pytest.raises(ValueError):
+            SimulationConfig(seed=-1)
+        with pytest.raises(ValueError):
+            SimulationConfig(seed=2**128)
+        SimulationConfig(seed=2**128 - 1)
+
+
+class TestStream:
+    @pytest.mark.parametrize("k", [1, 4, 5, 8, 22])
+    def test_block_equals_stacked_rows(self, k):
+        for start, count in ((0, 7), (5, 3), (1000, 4)):
+            rows = np.stack(
+                [_standard_normals(11, i, k) for i in range(start, start + count)]
+            )
+            block = _normal_block(11, start, count, k)
+            assert block.shape == (count, k)
+            np.testing.assert_array_equal(block, rows)
+
+    def test_simulate_rows_equal_draw_parameters_across_chunks(
+            self, fit_full, spec_full, dist, monkeypatch):
+        # zero mean, identity covariance: each parameter draw is exactly its
+        # normals, so any chunking slip shows up as a bit difference
+        k = len(fit_full.coefficients)
+        unit = dataclasses.replace(
+            fit_full, coefficients=np.zeros(k), cov_robust=np.eye(k)
+        )
+        seen = []
+        real = simci.batch_measures
+
+        def capture(draws, *args):
+            seen.append(draws.copy())
+            return real(draws, *args)
+
+        monkeypatch.setattr(simci, "batch_measures", capture)
+        config = SimulationConfig(n_draws=CHUNK + 3, seed=5)
+        simulate(unit, spec_full, dist, config)
+        (draws,) = seen
+        assert draws.shape == (CHUNK + 3, k)
+        for i in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2):
+            np.testing.assert_array_equal(draws[i], draw_parameters(unit, config, i))
+        np.testing.assert_array_equal(draws, _normal_block(5, 0, CHUNK + 3, k))
+
+    def test_normals_finite(self):
+        z = _normal_block(0, 0, 50_000, 8)
+        assert np.isfinite(z).all()
+        assert abs(z.mean()) < 0.01 and abs(z.std() - 1.0) < 0.01
+
+    def test_extreme_words_stay_inside_unit_interval(self):
+        raw = np.array([0, 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+        u = _open_unit(raw)
+        assert np.all((u > 0.0) & (u < 1.0))
+        assert u[0] == 1.0 - u[-1]  # the grid is symmetric about 1/2
+        assert np.isfinite(ndtri(u)).all()
+
+
+def _reference_draws_csv(result):
+    fh = io.StringIO()
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["measure_id", "draw_index", "value"])
+    for mid in ei.MEASURE_IDS:
+        for i, v in enumerate(result[mid].draws):
+            w.writerow([mid, i, repr(float(v))])
+    return fh.getvalue()
+
+
+def _result_with_draws(columns):
+    intervals = {
+        mid: IntervalEstimate(mid, 0.0, np.asarray(col, dtype=float), {})
+        for mid, col in zip(ei.MEASURE_IDS, columns)
+    }
+    return SimulationResult(intervals=intervals, n_clamped_draws=0, jitter=0.0)
+
+
+SPECIAL_VALUES = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+    2.2250738585072014e-308, 1e-05, 1e16, 1e-4, 123456789012345.6,
+]
+
+
+class TestExportDrawsCsv:
+    @given(st.lists(
+        st.lists(
+            st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                      st.sampled_from(SPECIAL_VALUES)),
+            max_size=30,
+        ),
+        min_size=5, max_size=5,
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_csv_writer(self, columns):
+        result = _result_with_draws(columns)
+        fh = io.StringIO()
+        export_draws_csv(result, fh)
+        assert fh.getvalue() == _reference_draws_csv(result)
+
+    def test_special_values_and_chunk_boundary_to_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        columns = [rng.lognormal(0, 3, CHUNK + 2) for _ in ei.MEASURE_IDS]
+        columns[0][: len(SPECIAL_VALUES)] = SPECIAL_VALUES
+        result = _result_with_draws(columns)
+        target = tmp_path / "draws.csv"
+        export_draws_csv(result, target)
+        assert target.read_bytes() == _reference_draws_csv(result).encode("utf-8")
