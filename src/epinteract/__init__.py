@@ -37,6 +37,7 @@ from .model import (
     SpecificationError,
     Term,
     build_design_row,
+    design_matrix,
     expand_dataset,
     model_25_formula,
     model_26_formula,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .data import Dataset, InputError, covariate_distribution, load_fixture, FIXTURES
 from .fitting import SingularDesignError, fit
-from .measures import MEASURE_IDS, measure_set
+from .measures import MEASURE_IDS
 from .model import SpecificationError, expand_dataset, parse_formula
 from .simci import (
     SimulationConfig,
@@ -149,7 +149,7 @@ def run(args) -> int:
         return EXIT_INPUT
 
     try:
-        fitted = fit(X, s, n, link=spec.link)
+        fitted = fit(X, s, n)
     except SingularDesignError as exc:
         print(f"error: fitting stage: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
@@ -163,7 +163,6 @@ def run(args) -> int:
 
     dist = covariate_distribution(data)
     sim = simulate(fitted, spec, dist, config, data.covariate_names)
-    point = measure_set(fitted.coefficients, spec, dist, data.covariate_names)
 
     out.mkdir(parents=True, exist_ok=True)
     labels = spec.term_labels
@@ -221,9 +220,9 @@ def run(args) -> int:
             "dispersion": fitted.dispersion,
         }
         bundle["population_risks"] = {
-            f"z={z}": v for z, v in point.population_risks.items()
+            f"z={z}": v for z, v in sim.point.population_risks.items()
         }
-        bundle["measures"]["DCRD"] = {"point": point.dcrd, "equals": "DMRD"}
+        bundle["measures"]["DCRD"] = {"point": sim.point.dcrd, "equals": "DMRD"}
         bundle["config"] = {
             "formula": args.formula,
             "draws": args.draws,

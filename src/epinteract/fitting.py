@@ -147,14 +147,12 @@ def _invert_information(info, design):
         raise SingularDesignError("observed information is singular")
 
 
-def fit(design, successes, totals, link="logit") -> FitResult:
+def fit(design, successes, totals) -> FitResult:
     """Maximize the grouped binomial log-likelihood by Newton-Raphson.
 
     Non-convergence (including quasi-complete separation) is reported via
     converged=False, never silently.
     """
-    if link != "logit":
-        raise ValueError(f"unsupported link {link!r}")
     design = np.asarray(design, dtype=float)
     successes = np.asarray(successes, dtype=float)
     totals = np.asarray(totals, dtype=float)
@@ -223,7 +221,10 @@ def fit(design, successes, totals, link="logit") -> FitResult:
 
     info = observed_information(beta, design, totals)
     cov_model = _invert_information(info, design)
-    cov_robust = robust_covariance(beta, design, successes, totals)
+    # robust_covariance's numbers, from the one inversion above
+    df = n_rows - n_params
+    phi = deviance(beta, design, successes, totals) / df if df > 0 else float("nan")
+    cov_robust = phi * cov_model if df > 0 else 0.0 * cov_model
     return FitResult(
         coefficients=beta,
         cov_model=cov_model,
@@ -231,10 +232,6 @@ def fit(design, successes, totals, link="logit") -> FitResult:
         log_likelihood=ll,
         iterations=iterations,
         converged=converged,
-        dispersion=(
-            deviance(beta, design, successes, totals) / (n_rows - n_params)
-            if n_rows > n_params
-            else float("nan")
-        ),
+        dispersion=phi,
         message=message,
     )

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import CovariateDistribution
-from .model import ModelSpec, build_design_row
+from .model import ModelSpec, design_matrix
 
 __all__ = [
     "RiskTable",
@@ -87,20 +87,43 @@ class MeasureSet:
         }
 
 
+def _pattern_design(spec: ModelSpec, dist: CovariateDistribution, covariate_names):
+    """Design rows at every (z, x), (4*S, k) in EXPOSURE_LEVELS x pattern
+    order, plus the pattern weights (S,)."""
+    patterns = dist.patterns
+    T = design_matrix(np.repeat(EXPOSURE_LEVELS, len(patterns), axis=0),
+                      np.tile(patterns, (4, 1)), spec, covariate_names)
+    w = np.array([dist.weights[x] for x in patterns])
+    return T, w
+
+
+def _risks(B, T):
+    """Clamped risks expit(B @ T.T) with shape (n, 4, S), plus a per-row flag
+    marking rows where any risk was pulled away from {0, 1}."""
+    P = B @ T.T
+    expit(P, out=P)
+    P = P.reshape(len(B), 4, len(T) // 4)
+    clamped = np.any((P < RISK_CLAMP) | (P > 1.0 - RISK_CLAMP), axis=(1, 2))
+    np.clip(P, RISK_CLAMP, 1.0 - RISK_CLAMP, out=P)
+    return P, clamped
+
+
+def _point_risks(coefficients, spec, dist, covariate_names):
+    """Risks (4, S), weights and clamp flag at one parameter vector."""
+    T, w = _pattern_design(spec, dist, covariate_names)
+    P, clamped = _risks(np.asarray(coefficients, dtype=float)[None, :], T)
+    return P[0], w, bool(clamped[0])
+
+
 def risk_table(coefficients, spec: ModelSpec, dist: CovariateDistribution,
                covariate_names=None) -> RiskTable:
     """Inverse-link of the linear predictor at every (z, x) combination."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    values = {}
-    clamped = False
-    for z in EXPOSURE_LEVELS:
-        for x in dist.patterns:
-            row = build_design_row(z, x, spec, covariate_names)
-            p = float(expit(row @ coefficients))
-            if p < RISK_CLAMP or p > 1.0 - RISK_CLAMP:
-                clamped = True
-                p = min(max(p, RISK_CLAMP), 1.0 - RISK_CLAMP)
-            values[(z, tuple(x))] = p
+    P, _, clamped = _point_risks(coefficients, spec, dist, covariate_names)
+    values = {
+        (z, x): p
+        for z, row in zip(EXPOSURE_LEVELS, P.tolist())
+        for x, p in zip(dist.patterns, row)
+    }
     return RiskTable(values=values, clamped=clamped)
 
 
@@ -121,7 +144,8 @@ def _measures_from_risks(P, w):
     (0,0), (0,1), (1,0), (1,1).
     """
     p00, p01, p10, p11 = P[..., 0, :], P[..., 1, :], P[..., 2, :], P[..., 3, :]
-    odds = P / (1.0 - P)
+    odds = 1.0 - P
+    np.divide(P, odds, out=odds)  # P / (1 - P) with one (..., 4, S) temporary
     o00, o01, o10, o11 = odds[..., 0, :], odds[..., 1, :], odds[..., 2, :], odds[..., 3, :]
 
     rcor_ = ((o11 / o01) / (o10 / o00)) @ w
@@ -189,8 +213,7 @@ def dmrd(pr) -> float:
 def measure_set(coefficients, spec: ModelSpec, dist: CovariateDistribution,
                 covariate_names=None) -> MeasureSet:
     """Evaluate all five measures from one parameter vector."""
-    table = risk_table(coefficients, spec, dist, covariate_names)
-    P, w = _stack(table, dist)
+    P, w, clamped = _point_risks(coefficients, spec, dist, covariate_names)
     rcor_, rcrr_, rmor_, rmrr_, dmrd_, pr = _measures_from_risks(P, w)
     return MeasureSet(
         rcor=float(rcor_),
@@ -199,7 +222,7 @@ def measure_set(coefficients, spec: ModelSpec, dist: CovariateDistribution,
         rmrr=float(rmrr_),
         dmrd=float(dmrd_),
         population_risks={z: float(pr[i]) for i, z in enumerate(EXPOSURE_LEVELS)},
-        clamped=table.clamped,
+        clamped=clamped,
     )
 
 
@@ -210,27 +233,7 @@ def batch_measures(coefficient_matrix, spec: ModelSpec, dist: CovariateDistribut
     Returns (dict measure_id -> array of shape (n,), clamp count). Each row of
     `coefficient_matrix` gives the same values as `measure_set` on that row.
     """
-    B = np.asarray(coefficient_matrix, dtype=float)
-    patterns = dist.patterns
-    T = np.vstack(
-        [
-            build_design_row(z, x, spec, covariate_names)
-            for z in EXPOSURE_LEVELS
-            for x in patterns
-        ]
-    )  # (4*S, k)
-    w = np.array([dist.weights[x] for x in patterns])
-    P = expit(B @ T.T).reshape(B.shape[0], 4, len(patterns))
-    n_clamped = int(np.sum(np.any(
-        (P < RISK_CLAMP) | (P > 1.0 - RISK_CLAMP), axis=(1, 2)
-    )))
-    P = np.clip(P, RISK_CLAMP, 1.0 - RISK_CLAMP)
-    rcor_, rcrr_, rmor_, rmrr_, dmrd_, _ = _measures_from_risks(P, w)
-    values = {
-        "RCOR": rcor_,
-        "RCRR": rcrr_,
-        "RMOR": rmor_,
-        "RMRR": rmrr_,
-        "DMRD": dmrd_,
-    }
-    return values, n_clamped
+    T, w = _pattern_design(spec, dist, covariate_names)
+    P, clamped = _risks(np.asarray(coefficient_matrix, dtype=float), T)
+    values = dict(zip(MEASURE_IDS, _measures_from_risks(P, w)))
+    return values, int(clamped.sum())

@@ -17,6 +17,7 @@ __all__ = [
     "ModelSpec",
     "SpecificationError",
     "build_design_row",
+    "design_matrix",
     "expand_dataset",
     "parse_formula",
     "model_25_formula",
@@ -72,10 +73,9 @@ class Term:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Ordered list of terms plus a link identifier (only "logit" for now)."""
+    """Ordered list of terms of a logistic model."""
 
     terms: tuple[Term, ...]
-    link: str = "logit"
 
     def __post_init__(self):
         n_intercept = sum(1 for t in self.terms if t.kind == "intercept")
@@ -85,8 +85,6 @@ class ModelSpec:
             )
         if len(set(self.terms)) != len(self.terms):
             raise SpecificationError("duplicate terms in model specification")
-        if self.link != "logit":
-            raise SpecificationError(f"unsupported link {self.link!r}")
 
     @property
     def variables(self) -> set[str]:
@@ -106,48 +104,46 @@ class ModelSpec:
             )
 
 
-def _variable_env(
-    exposures, covariates, covariate_names=None
-) -> dict[str, float]:
+def design_matrix(exposures, covariates, spec: ModelSpec, covariate_names=None):
+    """Evaluate each term of `spec` at n (z, x) points at once.
+
+    `exposures` has shape (n, 2) and `covariates` shape (n, K); covariate
+    names default to x1..xK in column order. Column j of the result is 1, the
+    term's variable, or the product of its two variables.
+    """
+    Z = np.asarray(exposures, dtype=float)
+    Xc = np.asarray(covariates, dtype=float)
     if covariate_names is None:
-        covariate_names = tuple(f"x{i + 1}" for i in range(len(covariates)))
-    env = dict(zip(covariate_names, covariates))
-    env["z1"], env["z2"] = exposures
-    return env
+        covariate_names = tuple(f"x{i + 1}" for i in range(Xc.shape[1]))
+    columns = dict(zip(covariate_names, Xc.T))
+    columns["z1"], columns["z2"] = Z.T
+    D = np.ones((len(Z), len(spec.terms)))
+    for j, term in enumerate(spec.terms):
+        for v in term.variables:
+            if v not in columns:
+                raise SpecificationError(f"unresolvable variable {v!r}")
+            D[:, j] *= columns[v]
+    return D
 
 
 def build_design_row(exposures, covariates, spec: ModelSpec, covariate_names=None):
-    """Evaluate each term of `spec` at one (z, x) point.
-
-    Covariate names default to x1..xK in vector order.
-    """
-    env = _variable_env(exposures, covariates, covariate_names)
-    row = np.empty(len(spec.terms))
-    for j, term in enumerate(spec.terms):
-        try:
-            if term.kind == "intercept":
-                row[j] = 1.0
-            elif term.kind == "main":
-                row[j] = env[term.variables[0]]
-            else:
-                row[j] = env[term.variables[0]] * env[term.variables[1]]
-        except KeyError as exc:
-            raise SpecificationError(f"unresolvable variable {exc}") from None
-    return row
+    """Evaluate each term of `spec` at one (z, x) point."""
+    return design_matrix([exposures], [covariates], spec, covariate_names)[0]
 
 
 def expand_dataset(data: Dataset, spec: ModelSpec):
     """Build (design matrix, successes, totals) with one row per cell,
     in dataset order."""
     spec.validate_for(data)
-    X = np.vstack(
-        [
-            build_design_row(r.exposures, r.covariates, spec, data.covariate_names)
-            for r in data.records
-        ]
+    records = data.records
+    X = design_matrix(
+        [r.exposures for r in records],
+        [r.covariates for r in records],
+        spec,
+        data.covariate_names,
     )
-    s = np.array([r.successes for r in data.records], dtype=float)
-    n = np.array([r.totals for r in data.records], dtype=float)
+    s = np.array([r.successes for r in records], dtype=float)
+    n = np.array([r.totals for r in records], dtype=float)
     return X, s, n
 
 

@@ -17,7 +17,6 @@ chunked or per-index evaluation give bit-identical normals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from scipy.special import ndtri
 
 from .data import CovariateDistribution
 from .fitting import FitResult
-from .measures import MEASURE_IDS, batch_measures, measure_set
+from .measures import MEASURE_IDS, MeasureSet, batch_measures, measure_set
 from .model import ModelSpec
 
 __all__ = [
@@ -83,6 +82,7 @@ class SimulationResult:
     intervals: dict[str, IntervalEstimate]
     n_clamped_draws: int
     jitter: float
+    point: MeasureSet | None = None  # all measures at the fitted coefficients
 
     def __getitem__(self, measure_id: str) -> IntervalEstimate:
         return self.intervals[measure_id]
@@ -188,7 +188,8 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
     draws = fit.coefficients + U @ L.T
 
     values, n_clamped = batch_measures(draws, spec, dist, covariate_names)
-    point = measure_set(fit.coefficients, spec, dist, covariate_names).as_dict()
+    point = measure_set(fit.coefficients, spec, dist, covariate_names)
+    point_values = point.as_dict()
 
     intervals = {}
     for mid in MEASURE_IDS:
@@ -199,12 +200,12 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
         }
         intervals[mid] = IntervalEstimate(
             measure_id=mid,
-            point=point[mid],
+            point=point_values[mid],
             draws=sorted_draws,
             endpoints=endpoints,
         )
     return SimulationResult(
-        intervals=intervals, n_clamped_draws=n_clamped, jitter=jitter
+        intervals=intervals, n_clamped_draws=n_clamped, jitter=jitter, point=point
     )
 
 
@@ -250,12 +251,3 @@ def summary_dict(result: SimulationResult) -> dict:
             "cholesky_jitter": result.jitter,
         },
     }
-
-
-def export_summary_json(result: SimulationResult, target) -> None:
-    payload = json.dumps(summary_dict(result), indent=2, sort_keys=True)
-    if hasattr(target, "write"):
-        target.write(payload + "\n")
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")

@@ -181,6 +181,15 @@ class TestMeasureSet:
             for mid, arr in values.items():
                 assert arr[i] == pytest.approx(ms.as_dict()[mid], rel=1e-10), mid
 
+    def test_batch_clamp_count_matches_scalar_flags(self, fit_full, spec_full, dist):
+        B = np.tile(fit_full.coefficients, (5, 1))
+        B[1, 0] = 1000.0
+        B[3, 0] = -1000.0
+        _, n_clamped = ei.measures.batch_measures(B, spec_full, dist)
+        flags = [ei.measure_set(b, spec_full, dist).clamped for b in B]
+        assert flags == [False, True, False, True, False]
+        assert n_clamped == 2
+
 
 class TestExpBeta3Identity:
     """Without triple products every stratum shares the same odds-ratio

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import epinteract as ei
+from epinteract.data import Dataset, StratumRecord
 from epinteract.model import ModelSpec, SpecificationError, Term
+
+VARIABLES = ("x1", "x2", "x3", "z1", "z2")
+_product = st.tuples(st.sampled_from(VARIABLES), st.sampled_from(VARIABLES)).filter(
+    lambda pair: pair[0] != pair[1]
+).map(lambda pair: tuple(sorted(pair)))
+TERM_FACTORS = st.one_of(st.sampled_from(VARIABLES).map(lambda v: (v,)), _product)
 
 
 class TestTerm:
@@ -53,6 +60,33 @@ class TestBuildDesignRow:
         assert changed <= referencing
 
 
+class TestDesignMatrix:
+    @given(
+        factors=st.lists(TERM_FACTORS, min_size=1, max_size=10, unique=True),
+        order=st.permutations(VARIABLES[:3]),
+        rows=st.lists(
+            st.fixed_dictionaries({v: st.integers(0, 1) for v in VARIABLES}),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_term_oracle(self, factors, order, rows):
+        spec = ei.parse_formula("y ~ " + " + ".join(":".join(f) for f in factors))
+        X = ei.design_matrix(
+            [(r["z1"], r["z2"]) for r in rows],
+            [[r[name] for name in order] for r in rows],
+            spec,
+            order,
+        )
+        expected = [
+            [float(np.prod([r[v] for v in term.variables])) for term in spec.terms]
+            for r in rows
+        ]
+        assert X.shape == (len(rows), len(spec.terms))
+        assert X.tolist() == expected
+
+
 class TestExpandDataset:
     def test_full_model_shape(self, dataset, spec_full):
         X, s, n = ei.expand_dataset(dataset, spec_full)
@@ -80,6 +114,24 @@ class TestExpandDataset:
                 rec.exposures, rec.covariates, spec_full, dataset.covariate_names
             )
             assert np.array_equal(X[i], row)
+
+    def test_no_covariates_expand_fit_and_measure(self):
+        cells = {(0, 0): (3, 10), (0, 1): (5, 12), (1, 0): (4, 9), (1, 1): (8, 11)}
+        data = Dataset(
+            records=tuple(StratumRecord((), z, s, n) for z, (s, n) in cells.items()),
+            covariate_names=(),
+        )
+        spec = ei.parse_formula("y ~ z1 + z2", data.variable_names)
+        X, s, n = ei.expand_dataset(data, spec)
+        assert X.tolist() == [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
+        f = ei.fit(X, s, n)
+        assert f.converged
+        dist = ei.covariate_distribution(data)
+        ms = ei.measure_set(f.coefficients, spec, dist, data.covariate_names)
+        fitted = 1.0 / (1.0 + np.exp(-(X @ f.coefficients)))
+        for i, z in enumerate(cells):
+            assert ms.population_risks[z] == pytest.approx(fitted[i], rel=1e-12)
+        assert np.isfinite(list(ms.as_dict().values())).all()
 
     def test_unknown_variable_rejected(self, dataset):
         spec = ei.parse_formula("y ~ z1 + x7")

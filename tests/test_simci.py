@@ -182,6 +182,11 @@ class TestSimulate:
         for mid, expected in ms.as_dict().items():
             assert sim[mid].point == pytest.approx(expected, abs=1e-12)
 
+    def test_result_keeps_point_measure_set(self, sim):
+        assert isinstance(sim.point, ei.MeasureSet)
+        for mid, value in sim.point.as_dict().items():
+            assert sim[mid].point == value
+
     def test_draws_sorted_and_sized(self, sim):
         for mid in ei.MEASURE_IDS:
             d = sim[mid].draws
