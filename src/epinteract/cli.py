@@ -116,6 +116,9 @@ def run(args) -> int:
     if bad:
         print(f"error: unknown output format(s) {sorted(bad)}", file=sys.stderr)
         return EXIT_INPUT
+    if not formats:
+        print("error: --format names no output format", file=sys.stderr)
+        return EXIT_INPUT
     try:
         levels = tuple(float(t) for t in args.levels.split(","))
     except ValueError:
@@ -133,6 +136,14 @@ def run(args) -> int:
         )
     except ValueError as exc:
         print(f"error: simulation config: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        # the nearest existing path decides whether the directory can be made
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"{existing} is not a directory")
+    except OSError as exc:
+        print(f"error: output stage: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     try:
@@ -163,10 +174,16 @@ def run(args) -> int:
 
     dist = covariate_distribution(data)
     sim = simulate(fitted, spec, dist, config, data.covariate_names)
+    try:
+        _write_outputs(out, formats, args, levels, spec.term_labels, fitted, sim)
+    except OSError as exc:
+        print(f"error: output stage: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
 
+
+def _write_outputs(out, formats, args, levels, labels, fitted, sim):
     out.mkdir(parents=True, exist_ok=True)
-    labels = spec.term_labels
-
     if "table" in formats:
         report = _render_report(labels, fitted, sim, levels)
         (out / "report.txt").write_text(report, encoding="utf-8")
@@ -233,8 +250,6 @@ def run(args) -> int:
         (out / "report.json").write_text(
             json.dumps(bundle, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-
-    return EXIT_OK
 
 
 def main(argv=None) -> int:

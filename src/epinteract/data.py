@@ -1,12 +1,20 @@
 """Stratified count data: cell records, datasets, CSV ingestion and the
-empirical covariate distribution used for standardization."""
+empirical covariate distribution used for standardization.
+
+A dataset keeps its cells in one integer array, one row per cell. CSV
+ingestion fills that array directly and validates it in bulk; per-cell
+`StratumRecord` objects are built only when `Dataset.records` is read.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+
+import numpy as np
 
 __all__ = [
     "StratumRecord",
@@ -49,31 +57,113 @@ class StratumRecord:
         return (self.covariates, self.exposures)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """A list of cells plus covariate labels. Cells with zero totals are
-    simply absent, never stored."""
+def _invalid_row(cells, k):
+    """(index, reason) for the first row of `cells` that StratumRecord would
+    reject, with its reason; None when every row is a valid cell."""
+    x, z, s, n = cells[:, :k], cells[:, k:k + 2], cells[:, -2], cells[:, -1]
+    failed = np.stack([
+        ((x != 0) & (x != 1)).any(axis=1),
+        ((z != 0) & (z != 1)).any(axis=1),
+        n < 1,
+        (s < 0) | (s > n),
+    ])
+    bad = np.flatnonzero(failed.any(axis=0))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    row = cells[i].tolist()
+    reasons = (
+        f"covariates must be binary, got {tuple(row[:k])}",
+        f"exposures must be a binary pair, got {tuple(row[k:k + 2])}",
+        f"totals must be >= 1, got {row[-1]}",
+        f"successes must lie in [0, totals], got {row[-2]}/{row[-1]}",
+    )
+    return i, reasons[int(np.argmax(failed[:, i]))]
 
-    records: tuple[StratumRecord, ...]
+
+def _first_appearance(rows):
+    """Group the equal rows of a 0/1 array: the index of each group's first
+    row, in order of first appearance, and the group number of every row."""
+    if rows.shape[1] < 63:  # one exact integer code per row
+        rows = rows @ (1 << np.arange(rows.shape[1], dtype=np.int64))
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    group = np.empty_like(order)
+    group[order] = np.arange(len(order))
+    return first[order], group[inverse.reshape(-1)]
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Dataset:
+    """Cells plus covariate labels. Row i of `cells` holds cell i's
+    covariates x1..xK, then z1, z2, successes and totals. Cells with zero
+    totals are simply absent, never stored.
+
+    Build it from records, `Dataset(records, covariate_names)`, or from the
+    integer array, `Dataset(cells=..., covariate_names=...)`.
+    """
+
+    cells: np.ndarray
     covariate_names: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.records:
+    def __init__(self, records=None, covariate_names=(), cells=None):
+        names = tuple(covariate_names)
+        k = len(names)
+        if cells is None:
+            records = tuple(records or ())
+            for rec in records:
+                if len(rec.covariates) != k:
+                    raise InputError(
+                        f"record has {len(rec.covariates)} covariates, expected {k}"
+                    )
+            cells = [
+                r.covariates + r.exposures + (r.successes, r.totals) for r in records
+            ] or np.empty((0, k + 4), dtype=np.int64)
+            self.__dict__["records"] = records  # the cache of the property below
+        cells = np.array(cells)
+        if cells.dtype.kind not in "biu" or cells.ndim != 2 or cells.shape[1] != k + 4:
+            raise InputError(
+                f"cells must be integers of shape (n, {k + 4}), "
+                f"got {cells.dtype} {cells.shape}"
+            )
+        cells = cells.astype(np.int64, copy=False)
+        if not len(cells):
             raise InputError("dataset must contain at least one record")
+        bad = _invalid_row(cells, k)
+        if bad is not None:
+            raise InputError(bad[1])
+        # so that no 64-bit sum of totals can wrap
+        if sum(cells[:, -1].tolist()) >= 2**63:
+            raise InputError("totals must add up to less than 2**63")
+        first, group = _first_appearance(cells[:, :k + 2])
+        repeats = np.flatnonzero(first[group] != np.arange(len(cells)))
+        if repeats.size:
+            row = cells[repeats[0]].tolist()
+            raise InputError(f"duplicate cell for {(tuple(row[:k]), tuple(row[k:k + 2]))}")
+        cells.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "covariate_names", names)
+
+    @cached_property
+    def records(self) -> tuple[StratumRecord, ...]:
         k = len(self.covariate_names)
-        seen = set()
-        for rec in self.records:
-            if len(rec.covariates) != k:
-                raise InputError(
-                    f"record has {len(rec.covariates)} covariates, expected {k}"
-                )
-            if rec.key in seen:
-                raise InputError(f"duplicate cell for {rec.key}")
-            seen.add(rec.key)
+        return tuple(
+            StratumRecord(tuple(r[:k]), tuple(r[k:k + 2]), r[-2], r[-1])
+            for r in self.cells.tolist()
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.covariate_names == other.covariate_names
+                and np.array_equal(self.cells, other.cells))
+
+    def __hash__(self):
+        return hash((self.covariate_names, self.cells.tobytes()))
 
     @property
     def n_total(self) -> int:
-        return sum(r.totals for r in self.records)
+        return int(self.cells[:, -1].sum())
 
     @property
     def variable_names(self) -> tuple[str, ...]:
@@ -92,11 +182,14 @@ class Dataset:
 
     @classmethod
     def _parse(cls, fh) -> "Dataset":
-        reader = csv.reader(fh)
+        lines = list(fh)
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:
             raise InputError("empty CSV: no header row") from None
+        except csv.Error as exc:
+            raise InputError(f"line 1: {exc}") from None
         header = [h.strip() for h in header]
         tail = ["z1", "z2", "successes", "totals"]
         if len(header) < 5 or header[-4:] != tail:
@@ -104,46 +197,85 @@ class Dataset:
                 f"CSV header must end with {tail}, got {header}"
             )
         cov_names = tuple(header[:-4])
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise InputError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                vals = [int(c) for c in row]
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: non-integer field ({exc})") from None
-            try:
-                records.append(
-                    StratumRecord(
-                        covariates=tuple(vals[: len(cov_names)]),
-                        exposures=(vals[-4], vals[-3]),
-                        successes=vals[-2],
-                        totals=vals[-1],
-                    )
-                )
-            except InputError as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
-        return cls(records=tuple(records), covariate_names=cov_names)
+        cells = _plain_cells("".join(lines[reader.line_num:]), len(header))
+        if cells is not None:
+            linenos, error = range(2, len(cells) + 2), None
+        else:
+            cells, linenos, error = _csv_cells(reader, len(header))
+        # a row-by-row reader stops at the first bad row, whatever is wrong
+        # with it; rows after an unparsable one are never read
+        bad = _invalid_row(cells, len(cov_names))
+        if bad is not None:
+            raise InputError(f"line {linenos[bad[0]]}: {bad[1]}")
+        if error is not None:
+            raise error
+        return cls(cells=cells, covariate_names=cov_names)
 
     def to_csv(self, target) -> None:
         """Write the dataset back out in the ingestion format."""
         def _write(fh):
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(list(self.covariate_names) + ["z1", "z2", "successes", "totals"])
-            for r in self.records:
-                w.writerow(
-                    list(r.covariates) + list(r.exposures) + [r.successes, r.totals]
-                )
+            w.writerows(self.cells.tolist())
 
         if hasattr(target, "write"):
             _write(target)
         else:
             with open(target, "w", newline="", encoding="utf-8") as fh:
                 _write(fh)
+
+
+def _plain_cells(body: str, width: int):
+    """The rows of a CSV body as an (n, width) integer array when the body
+    is plain: every line holds `width` fields of 1 to 18 digits and no blank
+    line comes before the last row. None for any other body."""
+    body = body.rstrip("\n")
+    if not body or not body.isascii():
+        return None
+    chars = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    # every character below "0" is taken for a separator here; the layout
+    # check below rejects any that is not the right "," or "\n"
+    seps = np.flatnonzero(chars < ord("0"))
+    lengths = np.diff(seps, prepend=-1, append=len(chars)) - 1
+    if (chars.max() > ord("9") or lengths.min() < 1 or lengths.max() > 18
+            or (len(seps) + 1) % width):
+        return None
+    layout = np.append(chars[seps], ord("\n")).reshape(-1, width)
+    if (layout[:, :-1] != ord(",")).any() or (layout[:, -1] != ord("\n")).any():
+        return None
+    values = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",")
+    return values.reshape(-1, width)
+
+
+def _csv_cells(reader, width: int):
+    """Rows read one at a time with the csv module and int(): (cells, line
+    numbers, error). Reading stops at the first row that cannot be parsed,
+    and the error for it is returned rather than raised."""
+    rows, linenos, error = [], [], None
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != width:
+                error = InputError(
+                    f"line {lineno}: expected {width} fields, got {len(row)}"
+                )
+                break
+            try:
+                vals = [int(c) for c in row]
+            except ValueError as exc:
+                error = InputError(f"line {lineno}: non-integer field ({exc})")
+                break
+            if not -2**63 <= min(vals) <= max(vals) < 2**63:
+                error = InputError(
+                    f"line {lineno}: field outside the 64-bit integer range"
+                )
+                break
+            rows.append(vals)
+            linenos.append(lineno)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        error = InputError(f"line {reader.line_num}: {exc}")
+    return np.array(rows, dtype=np.int64).reshape(-1, width), linenos, error
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +295,17 @@ class CovariateDistribution:
 
 
 def covariate_distribution(data: Dataset) -> CovariateDistribution:
-    """Proportion of subjects with each covariate pattern, marginal over exposure."""
-    counts: dict[tuple[int, ...], int] = {}
-    for rec in data.records:
-        counts[rec.covariates] = counts.get(rec.covariates, 0) + rec.totals
+    """Proportion of subjects with each covariate pattern, marginal over
+    exposure; patterns in order of first appearance."""
+    k = len(data.covariate_names)
+    first, group = _first_appearance(data.cells[:, :k])
+    counts = np.zeros(len(first), dtype=np.int64)
+    np.add.at(counts, group, data.cells[:, -1])
     n = data.n_total
-    return CovariateDistribution(weights={x: c / n for x, c in counts.items()})
+    patterns = map(tuple, data.cells[first, :k].tolist())
+    return CovariateDistribution(
+        weights={x: c / n for x, c in zip(patterns, counts.tolist())}
+    )
 
 
 FIXTURES = ("nguyen2008",)

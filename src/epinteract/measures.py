@@ -40,6 +40,10 @@ EXPOSURE_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # draws with extreme linear predictors stay finite
 RISK_CLAMP = 1e-12
 
+# batch_measures evaluates draws in blocks of about this many risks (1 MB of
+# float64), so its memory does not grow with the number of draws
+BLOCK_ELEMENTS = 2**17
+
 
 @dataclass(frozen=True, eq=False)
 class RiskTable:
@@ -102,10 +106,9 @@ def _risks(B, T):
     marking rows where any risk was pulled away from {0, 1}."""
     P = B @ T.T
     expit(P, out=P)
-    P = P.reshape(len(B), 4, len(T) // 4)
-    clamped = np.any((P < RISK_CLAMP) | (P > 1.0 - RISK_CLAMP), axis=(1, 2))
+    clamped = (P.min(axis=1) < RISK_CLAMP) | (P.max(axis=1) > 1.0 - RISK_CLAMP)
     np.clip(P, RISK_CLAMP, 1.0 - RISK_CLAMP, out=P)
-    return P, clamped
+    return P.reshape(len(B), 4, len(T) // 4), clamped
 
 
 def _point_risks(coefficients, spec, dist, covariate_names):
@@ -232,8 +235,25 @@ def batch_measures(coefficient_matrix, spec: ModelSpec, dist: CovariateDistribut
 
     Returns (dict measure_id -> array of shape (n,), clamp count). Each row of
     `coefficient_matrix` gives the same values as `measure_set` on that row.
+    Rows are evaluated in blocks of BLOCK_ELEMENTS // (4 * S) rows, and the
+    results do not depend on the block size.
     """
     T, w = _pattern_design(spec, dist, covariate_names)
-    P, clamped = _risks(np.asarray(coefficient_matrix, dtype=float), T)
-    values = dict(zip(MEASURE_IDS, _measures_from_risks(P, w)))
-    return values, int(clamped.sum())
+    B = np.asarray(coefficient_matrix, dtype=float)
+    values = np.empty((len(MEASURE_IDS), len(B)))
+    n_clamped = 0
+    step = max(1, BLOCK_ELEMENTS // len(T))
+    for start in range(0, len(B), step):
+        block = B[start:start + step]
+        m = len(block)
+        # Each block is padded with zero rows to a multiple of four, so that
+        # every row takes the same BLAS path however the rows are blocked:
+        # numpy hands a one-row product to gemv instead of gemm, and
+        # OpenBLAS's gemv sums a row outside a group of four in another order.
+        if m % 4:
+            block = np.vstack([block, np.zeros((4 - m % 4, B.shape[1]))])
+        P, clamped = _risks(block, T)
+        for out, v in zip(values, _measures_from_risks(P, w)):
+            out[start:start + m] = v[:m]
+        n_clamped += int(clamped[:m].sum())
+    return dict(zip(MEASURE_IDS, values)), n_clamped

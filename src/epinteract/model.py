@@ -135,16 +135,9 @@ def expand_dataset(data: Dataset, spec: ModelSpec):
     """Build (design matrix, successes, totals) with one row per cell,
     in dataset order."""
     spec.validate_for(data)
-    records = data.records
-    X = design_matrix(
-        [r.exposures for r in records],
-        [r.covariates for r in records],
-        spec,
-        data.covariate_names,
-    )
-    s = np.array([r.successes for r in records], dtype=float)
-    n = np.array([r.totals for r in records], dtype=float)
-    return X, s, n
+    cells, k = data.cells, len(data.covariate_names)
+    X = design_matrix(cells[:, k:k + 2], cells[:, :k], spec, data.covariate_names)
+    return X, cells[:, -2].astype(float), cells[:, -1].astype(float)
 
 
 def parse_formula(text: str, header=None) -> ModelSpec:

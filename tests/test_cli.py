@@ -174,3 +174,59 @@ class TestErrorPaths:
             "--out", str(tmp_path),
         )
         assert rc == cli.EXIT_OK
+
+
+class TestOutputStage:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("data was loaded before the output check")
+        monkeypatch.setattr(cli, "load_fixture", refuse)
+
+    @pytest.mark.parametrize("sub", [None, "sub"])
+    def test_out_under_a_file_rejected_before_work(self, tmp_path, capsys, no_work, sub):
+        target = tmp_path / "file"
+        target.write_text("keep me")
+        out = target / sub if sub else target
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL, "--out", str(out))
+        assert rc == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: output stage:") and "Traceback" not in err
+        assert target.read_text() == "keep me"
+
+    @pytest.mark.parametrize("formats", ["", ",", " , "])
+    def test_empty_format_set_rejected(self, tmp_path, capsys, no_work, formats):
+        out = tmp_path / "out"
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                     "--format", formats, "--out", str(out))
+        assert rc == cli.EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_write_failure_is_an_output_stage_error(self, tmp_path, capsys, monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli, "export_draws_csv", full_disk)
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                     "--draws", "10", "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error: output stage:" in err and "No space left" in err
+
+
+def test_csv_to_fit_builds_no_records(tmp_path, monkeypatch, dataset):
+    from epinteract.data import StratumRecord
+
+    src = tmp_path / "data.csv"
+    dataset.to_csv(src)
+    built = []
+    check = StratumRecord.__post_init__
+    monkeypatch.setattr(StratumRecord, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    for source in (["--input", str(src)], ["--fixture", "nguyen2008"]):
+        rc = run_cli(*source, "--formula", FULL_MODEL, "--draws", "10",
+                     "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_OK
+    assert built == []
+    assert len(cli.load_fixture("nguyen2008").records) == 30  # still built on request
+    assert len(built) == 30

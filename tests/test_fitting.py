@@ -1,5 +1,9 @@
+import io
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import epinteract as ei
 from epinteract.fitting import (
@@ -204,3 +208,56 @@ class TestCovariances:
             np.array([np.log(3.0)]), np.array([[1.0]]), np.array([3.0]), np.array([4.0])
         )
         assert dev == pytest.approx(0.0, abs=1e-10)
+
+
+@st.composite
+def grid_csv(draw):
+    """A complete covariate-by-exposure table as CSV lines, with both
+    outcomes in every cell, so the MLE is finite."""
+    k = draw(st.integers(1, 2))
+    lines = []
+    for x in itertools.product((0, 1), repeat=k):
+        for z in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            n = draw(st.integers(2, 60))
+            s = draw(st.integers(1, n - 1))
+            lines.append(",".join(map(str, x + z + (s, n))))
+    header = ",".join([f"x{i + 1}" for i in range(k)] + ["z1", "z2", "successes", "totals"])
+    formula = "y ~ z1 + z2 + z1:z2 + z1:x1" + "".join(f" + x{i + 1}" for i in range(k))
+    return header, lines, formula
+
+
+def fit_csv(header, lines, formula):
+    """MLE and measures of a CSV table, read by the CLI's own path."""
+    data = ei.Dataset.from_csv(io.StringIO(header + "\n" + "\n".join(lines) + "\n"))
+    spec = ei.parse_formula(formula, data.variable_names)
+    f = ei.fit(*ei.expand_dataset(data, spec))
+    assert f.converged
+    dist = ei.covariate_distribution(data)
+    return f, ei.measure_set(f.coefficients, spec, dist, data.covariate_names)
+
+
+class TestCsvPipelineInvariance:
+    @given(table=grid_csv(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cell_order_does_not_matter(self, table, data):
+        header, lines, formula = table
+        order = data.draw(st.permutations(range(len(lines))))
+        f, ms = fit_csv(header, lines, formula)
+        g, ms2 = fit_csv(header, [lines[i] for i in order], formula)
+        np.testing.assert_allclose(g.coefficients, f.coefficients, rtol=1e-9, atol=1e-11)
+        for mid, value in ms.as_dict().items():
+            assert ms2.as_dict()[mid] == pytest.approx(value, rel=1e-9), mid
+
+    @given(table=grid_csv(), c=st.integers(2, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_counts_keeps_the_mle(self, table, c):
+        header, lines, formula = table
+        scaled = []
+        for line in lines:
+            *cell, s, n = map(int, line.split(","))
+            scaled.append(",".join(map(str, cell + [c * s, c * n])))
+        f, _ = fit_csv(header, lines, formula)
+        g, _ = fit_csv(header, scaled, formula)
+        # the same MLE; the fit stops on an absolute score tolerance, and the
+        # score grows with c, so the two stop at slightly different iterates
+        np.testing.assert_allclose(g.coefficients, f.coefficients, rtol=1e-7, atol=1e-7)

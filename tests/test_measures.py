@@ -284,3 +284,62 @@ class TestOracleEquivalence:
         assert ei.rcor(table, dist) == pytest.approx(oracle_rcor(table, dist), rel=1e-12)
         assert ei.rcrr(table, dist) == pytest.approx(oracle_rcrr(table, dist), rel=1e-12)
         assert ei.dcrd(table, dist) == pytest.approx(oracle_dcrd(table, dist), abs=1e-14)
+
+
+class TestBlockedBatch:
+    """batch_measures evaluates draws block by block; the block size must not
+    show in any value or in the clamp count."""
+
+    @staticmethod
+    def draws(fit_full, n):
+        rng = np.random.default_rng(9)
+        B = fit_full.coefficients + rng.normal(0, 0.5, size=(n, 8))
+        B[n - 5, 0] = 1000.0  # one clamped row, in a later block
+        return B
+
+    @staticmethod
+    def batch(B, spec, dist, monkeypatch, rows):
+        per_row = 4 * len(dist.weights)
+        monkeypatch.setattr(ei.measures, "BLOCK_ELEMENTS", per_row * rows)
+        return ei.measures.batch_measures(B, spec, dist)
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 5])
+    def test_block_size_does_not_change_results(self, rows, fit_full, spec_full, dist,
+                                                monkeypatch):
+        B = self.draws(fit_full, 47)
+        whole, whole_clamped = self.batch(B, spec_full, dist, monkeypatch, len(B))
+        values, n_clamped = self.batch(B, spec_full, dist, monkeypatch, rows)
+        assert n_clamped == whole_clamped == 1
+        for mid in ei.MEASURE_IDS:
+            np.testing.assert_array_equal(values[mid], whole[mid])
+
+    def test_matches_single_product_when_rows_fill_groups_of_four(
+            self, fit_full, spec_full, dist, monkeypatch):
+        # with a multiple of four rows, blocked values equal those of one
+        # product over all rows, as before evaluation was blocked
+        from epinteract.measures import _measures_from_risks, _pattern_design, _risks
+
+        B = self.draws(fit_full, 48)
+        T, w = _pattern_design(spec_full, dist, None)
+        P, clamped = _risks(B, T)
+        expected = _measures_from_risks(P, w)
+        values, n_clamped = self.batch(B, spec_full, dist, monkeypatch, 3)
+        assert n_clamped == int(clamped.sum()) == 1
+        for mid, v in zip(ei.MEASURE_IDS, expected):
+            np.testing.assert_array_equal(values[mid], v)
+
+    def test_memory_does_not_grow_with_draws(self, fit_full, spec_full, dist):
+        import tracemalloc
+
+        def peak(n):
+            B = fit_full.coefficients + np.zeros((n, 8))
+            tracemalloc.start()
+            try:
+                ei.measures.batch_measures(B, spec_full, dist)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # only the (5, n) result grows, by 40 bytes a row; evaluating all rows
+        # at once grew by about 650 bytes a row here
+        assert peak(40_000) - peak(10_000) < 30_000 * 64
