@@ -84,8 +84,9 @@ def _invalid_row(cells, k):
 def _first_appearance(rows):
     """Group the equal rows of a 0/1 array: the index of each group's first
     row, in order of first appearance, and the group number of every row."""
-    if rows.shape[1] < 63:  # one exact integer code per row
-        rows = rows @ (1 << np.arange(rows.shape[1], dtype=np.int64))
+    # eight columns to a byte; unique(axis=0) sorts the short packed rows
+    # many times faster than the int64 rows
+    rows = np.packbits(rows.astype(bool), axis=1)
     _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     group = np.empty_like(order)
@@ -100,7 +101,9 @@ class Dataset:
     totals are simply absent, never stored.
 
     Build it from records, `Dataset(records, covariate_names)`, or from the
-    integer array, `Dataset(cells=..., covariate_names=...)`.
+    integer array, `Dataset(cells=..., covariate_names=...)`. Either way
+    every count must be an integer that fits in int64; a record holding a
+    float count such as 2.0 is rejected.
     """
 
     cells: np.ndarray

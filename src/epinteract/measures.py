@@ -101,20 +101,20 @@ def _pattern_design(spec: ModelSpec, dist: CovariateDistribution, covariate_name
     return T, w
 
 
-def _risks(B, T):
-    """Clamped risks expit(B @ T.T) with shape (n, 4, S), plus a per-row flag
-    marking rows where any risk was pulled away from {0, 1}."""
-    P = B @ T.T
+def _risks(P):
+    """Clamped risks from the linear predictors P = B @ T.T, (n, 4*S), with
+    shape (n, 4, S), plus a per-row flag marking rows where any risk was
+    pulled away from {0, 1}. P is overwritten."""
     expit(P, out=P)
     clamped = (P.min(axis=1) < RISK_CLAMP) | (P.max(axis=1) > 1.0 - RISK_CLAMP)
     np.clip(P, RISK_CLAMP, 1.0 - RISK_CLAMP, out=P)
-    return P.reshape(len(B), 4, len(T) // 4), clamped
+    return P.reshape(len(P), 4, P.shape[1] // 4), clamped
 
 
 def _point_risks(coefficients, spec, dist, covariate_names):
     """Risks (4, S), weights and clamp flag at one parameter vector."""
     T, w = _pattern_design(spec, dist, covariate_names)
-    P, clamped = _risks(np.asarray(coefficients, dtype=float)[None, :], T)
+    P, clamped = _risks(np.asarray(coefficients, dtype=float)[None, :] @ T.T)
     return P[0], w, bool(clamped[0])
 
 
@@ -235,25 +235,27 @@ def batch_measures(coefficient_matrix, spec: ModelSpec, dist: CovariateDistribut
 
     Returns (dict measure_id -> array of shape (n,), clamp count). Each row of
     `coefficient_matrix` gives the same values as `measure_set` on that row.
-    Rows are evaluated in blocks of BLOCK_ELEMENTS // (4 * S) rows, and the
-    results do not depend on the block size.
+    Rows are evaluated in blocks of a multiple of four rows, about
+    BLOCK_ELEMENTS // (4 * S), and the results do not depend on the block
+    size.
     """
     T, w = _pattern_design(spec, dist, covariate_names)
     B = np.asarray(coefficient_matrix, dtype=float)
     values = np.empty((len(MEASURE_IDS), len(B)))
     n_clamped = 0
-    step = max(1, BLOCK_ELEMENTS // len(T))
+    step = 4 * max(1, BLOCK_ELEMENTS // (4 * len(T)))
     for start in range(0, len(B), step):
         block = B[start:start + step]
         m = len(block)
-        # Each block is padded with zero rows to a multiple of four, so that
-        # every row takes the same BLAS path however the rows are blocked:
-        # numpy hands a one-row product to gemv instead of gemm, and
-        # OpenBLAS's gemv sums a row outside a group of four in another order.
+        # Only a last, short block is padded with zero rows to a multiple of
+        # four for the product, so that every row takes the same BLAS path
+        # however the rows are blocked: numpy hands a one-row product to gemv
+        # instead of gemm, and OpenBLAS's gemv sums a row outside a group of
+        # four in another order.
         if m % 4:
             block = np.vstack([block, np.zeros((4 - m % 4, B.shape[1]))])
-        P, clamped = _risks(block, T)
+        P, clamped = _risks((block @ T.T)[:m])
         for out, v in zip(values, _measures_from_risks(P, w)):
-            out[start:start + m] = v[:m]
-        n_clamped += int(clamped[:m].sum())
+            out[start:start + m] = v
+        n_clamped += int(clamped.sum())
     return dict(zip(MEASURE_IDS, values)), n_clamped

@@ -22,6 +22,14 @@ class TestStratumRecord:
         with pytest.raises(InputError, match="duplicate"):
             Dataset(records=(rec, rec), covariate_names=("x1",))
 
+    @pytest.mark.parametrize("successes, totals", [(2.0, 5), (1, 5.0), (1, 2**63)])
+    def test_dataset_takes_only_int64_counts(self, successes, totals):
+        # a record may hold a float or an unbounded int; a dataset stores
+        # its cells as int64 and rejects both
+        rec = StratumRecord((0,), (0, 1), successes, totals)
+        with pytest.raises(InputError, match=r"cells must be integers of shape \(n, 5\)"):
+            Dataset(records=(rec,), covariate_names=("x1",))
+
 
 class TestFixture:
     def test_cell_count_and_total(self, dataset):

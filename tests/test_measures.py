@@ -303,7 +303,7 @@ class TestBlockedBatch:
         monkeypatch.setattr(ei.measures, "BLOCK_ELEMENTS", per_row * rows)
         return ei.measures.batch_measures(B, spec, dist)
 
-    @pytest.mark.parametrize("rows", [1, 3, 4, 5])
+    @pytest.mark.parametrize("rows", [1, 3, 4, 5, 8, 12])
     def test_block_size_does_not_change_results(self, rows, fit_full, spec_full, dist,
                                                 monkeypatch):
         B = self.draws(fit_full, 47)
@@ -313,20 +313,36 @@ class TestBlockedBatch:
         for mid in ei.MEASURE_IDS:
             np.testing.assert_array_equal(values[mid], whole[mid])
 
-    def test_matches_single_product_when_rows_fill_groups_of_four(
-            self, fit_full, spec_full, dist, monkeypatch):
-        # with a multiple of four rows, blocked values equal those of one
-        # product over all rows, as before evaluation was blocked
+    @pytest.mark.parametrize("n", [47, 48, 103])
+    def test_matches_single_product(self, n, fit_full, spec_full, dist, monkeypatch):
+        # blocked values equal those of one unpadded product over all rows,
+        # as before evaluation was blocked
         from epinteract.measures import _measures_from_risks, _pattern_design, _risks
 
-        B = self.draws(fit_full, 48)
+        B = self.draws(fit_full, n)
         T, w = _pattern_design(spec_full, dist, None)
-        P, clamped = _risks(B, T)
+        P, clamped = _risks(B @ T.T)
         expected = _measures_from_risks(P, w)
         values, n_clamped = self.batch(B, spec_full, dist, monkeypatch, 3)
         assert n_clamped == int(clamped.sum()) == 1
         for mid, v in zip(ei.MEASURE_IDS, expected):
             np.testing.assert_array_equal(values[mid], v)
+
+    @pytest.mark.parametrize("rows, step", [(1, 4), (3, 4), (7, 4), (8, 8), (13, 12)])
+    def test_blocks_hold_a_multiple_of_four_rows(self, rows, step, fit_full, spec_full,
+                                                 dist, monkeypatch):
+        # a budget below four rows still gives four-row blocks, and only the
+        # last block can be short, so at most one block is padded
+        B = self.draws(fit_full, 47)
+        risks, sizes = ei.measures._risks, []
+
+        def recording(P):
+            sizes.append(len(P))
+            return risks(P)
+
+        monkeypatch.setattr(ei.measures, "_risks", recording)
+        self.batch(B, spec_full, dist, monkeypatch, rows)
+        assert sizes == [step] * (47 // step) + [47 % step]
 
     def test_memory_does_not_grow_with_draws(self, fit_full, spec_full, dist):
         import tracemalloc
