@@ -195,7 +195,7 @@ class Dataset:
             raise InputError(f"line 1: {exc}") from None
         header = [h.strip() for h in header]
         tail = ["z1", "z2", "successes", "totals"]
-        if len(header) < 5 or header[-4:] != tail:
+        if header[-4:] != tail:
             raise InputError(
                 f"CSV header must end with {tail}, got {header}"
             )

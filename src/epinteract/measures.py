@@ -4,6 +4,14 @@ Conditional measures (RCOR, RCRR, DCRD) average a per-stratum contrast over
 the covariate distribution; marginal measures (RMOR, RMRR, DMRD) are formed
 from covariate-standardized population risks. All are functions of the
 conditional risk pr(y=1 | z, x) and the covariate weights only.
+
+Every path evaluates one kernel on the linear predictors (log-odds) eta:
+the per-stratum odds-ratio ratio is exp(eta11 - eta01 - eta10 + eta00), so
+no odds array is formed, and with e = exp(-eta) the risks are p = 1/(1 + e)
+and 1 - p = e*p, which keeps full precision as risks approach 1. Extreme
+draws are clamped in log-odds, at +-LOGIT_CLAMP. The last bits of a value
+depend on numpy's SIMD dispatch of exp, as they depend on the BLAS kernel
+behind the products.
 """
 
 from __future__ import annotations
@@ -11,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import CovariateDistribution
 from .model import ModelSpec, design_matrix
@@ -36,9 +43,11 @@ __all__ = [
 MEASURE_IDS = ("RCOR", "RCRR", "RMOR", "RMRR", "DMRD")
 EXPOSURE_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-# risks are pulled away from {0, 1} before odds are formed, so simulation
-# draws with extreme linear predictors stay finite
+# risks are kept inside [RISK_CLAMP, 1 - RISK_CLAMP], so simulation draws
+# with extreme linear predictors stay finite: the linear predictor is clipped
+# to +-LOGIT_CLAMP, the log-odds of 1 - RISK_CLAMP
 RISK_CLAMP = 1e-12
+LOGIT_CLAMP = float(np.log((1.0 - RISK_CLAMP) / RISK_CLAMP))
 
 # batch_measures evaluates draws in blocks of about this many risks (1 MB of
 # float64), so its memory does not grow with the number of draws
@@ -101,92 +110,87 @@ def _pattern_design(spec: ModelSpec, dist: CovariateDistribution, covariate_name
     return T, w
 
 
-def _risks(P):
-    """Clamped risks from the linear predictors P = B @ T.T, (n, 4*S), with
-    shape (n, 4, S), plus a per-row flag marking rows where any risk was
-    pulled away from {0, 1}. P is overwritten."""
-    expit(P, out=P)
-    clamped = (P.min(axis=1) < RISK_CLAMP) | (P.max(axis=1) > 1.0 - RISK_CLAMP)
-    np.clip(P, RISK_CLAMP, 1.0 - RISK_CLAMP, out=P)
-    return P.reshape(len(P), 4, P.shape[1] // 4), clamped
+def _measures(eta, w):
+    """The kernel: all five measures from a block of linear predictors
+    eta = B @ T.T, shape (m, 4*S) in EXPOSURE_LEVELS x pattern order, and
+    the weights w (S,). eta is overwritten.
+
+    Returns the measures (5, m) in MEASURE_IDS order, the population risks
+    (m, 4), the risks (m, 4, S) and a per-row flag marking rows where any
+    linear predictor was clipped to +-LOGIT_CLAMP.
+    """
+    clamped = (eta.min(axis=1) < -LOGIT_CLAMP) | (eta.max(axis=1) > LOGIT_CLAMP)
+    np.clip(eta, -LOGIT_CLAMP, LOGIT_CLAMP, out=eta)
+    E = eta.reshape(len(eta), 4, -1)
+    # grouped so that swapping z1 and z2 gives the same bits
+    rcor_ = np.exp((E[:, 3] + E[:, 0]) - (E[:, 1] + E[:, 2])) @ w
+    Q = np.exp(np.negative(E, out=E), out=E)  # e = exp(-eta), in place
+    P = 1.0 + Q
+    np.divide(1.0, P, out=P)  # risks 1 / (1 + e)
+    Q *= P  # 1 - P, without cancellation
+    rcrr_ = ((P[:, 3] / P[:, 1]) / (P[:, 2] / P[:, 0])) @ w
+    pr, qr = P @ w, Q @ w  # population risks and their complements
+    mo = pr / qr
+    values = np.stack([
+        rcor_,
+        rcrr_,
+        (mo[:, 3] / mo[:, 1]) / (mo[:, 2] / mo[:, 0]),
+        (pr[:, 3] / pr[:, 1]) / (pr[:, 2] / pr[:, 0]),
+        pr[:, 3] - pr[:, 1] - pr[:, 2] + pr[:, 0],
+    ])
+    return values, pr, P, clamped
 
 
-def _point_risks(coefficients, spec, dist, covariate_names):
-    """Risks (4, S), weights and clamp flag at one parameter vector."""
-    T, w = _pattern_design(spec, dist, covariate_names)
-    P, clamped = _risks(np.asarray(coefficients, dtype=float)[None, :] @ T.T)
-    return P[0], w, bool(clamped[0])
+def _point(coefficients, spec, dist, covariate_names, design=None):
+    """The kernel at one parameter vector."""
+    T, w = design or _pattern_design(spec, dist, covariate_names)
+    return _measures(np.asarray(coefficients, dtype=float)[None, :] @ T.T, w)
 
 
 def risk_table(coefficients, spec: ModelSpec, dist: CovariateDistribution,
                covariate_names=None) -> RiskTable:
     """Inverse-link of the linear predictor at every (z, x) combination."""
-    P, _, clamped = _point_risks(coefficients, spec, dist, covariate_names)
+    _, _, P, clamped = _point(coefficients, spec, dist, covariate_names)
     values = {
         (z, x): p
-        for z, row in zip(EXPOSURE_LEVELS, P.tolist())
+        for z, row in zip(EXPOSURE_LEVELS, P[0].tolist())
         for x, p in zip(dist.patterns, row)
     }
-    return RiskTable(values=values, clamped=clamped)
+    return RiskTable(values=values, clamped=bool(clamped[0]))
 
 
-def _stack(table: RiskTable, dist: CovariateDistribution):
-    """Risks as a (4, S) array in EXPOSURE_LEVELS x pattern order, plus weights."""
+def _table_measures(table: RiskTable, dist: CovariateDistribution):
+    """The five measures (5,) and population risks (4,) of a risk table,
+    through the kernel on the log-odds of its risks."""
     patterns = dist.patterns
     P = np.array(
         [[table.risk(z, x) for x in patterns] for z in EXPOSURE_LEVELS]
     )
     w = np.array([dist.weights[x] for x in patterns])
-    return P, w
-
-
-def _measures_from_risks(P, w):
-    """All five measures from risks P with shape (..., 4, S) and weights (S,).
-
-    Axis -2 indexes the exposure pairs in EXPOSURE_LEVELS order:
-    (0,0), (0,1), (1,0), (1,1).
-    """
-    p00, p01, p10, p11 = P[..., 0, :], P[..., 1, :], P[..., 2, :], P[..., 3, :]
-    odds = 1.0 - P
-    np.divide(P, odds, out=odds)  # P / (1 - P) with one (..., 4, S) temporary
-    o00, o01, o10, o11 = odds[..., 0, :], odds[..., 1, :], odds[..., 2, :], odds[..., 3, :]
-
-    rcor_ = ((o11 / o01) / (o10 / o00)) @ w
-    rcrr_ = ((p11 / p01) / (p10 / p00)) @ w
-
-    pr = P @ w  # (..., 4) population-adjusted risks
-    pr_odds = pr / (1.0 - pr)
-    rmor_ = (pr_odds[..., 3] / pr_odds[..., 1]) / (pr_odds[..., 2] / pr_odds[..., 0])
-    rmrr_ = (pr[..., 3] / pr[..., 1]) / (pr[..., 2] / pr[..., 0])
-    dmrd_ = pr[..., 3] - pr[..., 1] - pr[..., 2] + pr[..., 0]
-    return rcor_, rcrr_, rmor_, rmrr_, dmrd_, pr
+    values, pr, _, _ = _measures(np.log(P / (1.0 - P)).reshape(1, -1), w)
+    return values[:, 0], pr[0]
 
 
 def rcor(table: RiskTable, dist: CovariateDistribution) -> float:
     """Covariate-weighted mean of the per-stratum ratio of odds ratios."""
-    P, w = _stack(table, dist)
-    return float(_measures_from_risks(P, w)[0])
+    return float(_table_measures(table, dist)[0][0])
 
 
 def rcrr(table: RiskTable, dist: CovariateDistribution) -> float:
     """Covariate-weighted mean of the per-stratum ratio of risk ratios."""
-    P, w = _stack(table, dist)
-    return float(_measures_from_risks(P, w)[1])
+    return float(_table_measures(table, dist)[0][1])
 
 
 def dcrd(table: RiskTable, dist: CovariateDistribution) -> float:
     """Covariate-weighted mean of the per-stratum difference of risk
-    differences."""
-    P, w = _stack(table, dist)
-    contrast = P[3] - P[1] - P[2] + P[0]
-    return float(contrast @ w)
+    differences; it equals DMRD, since risk differences are collapsible."""
+    return float(_table_measures(table, dist)[0][4])
 
 
 def population_risk(table: RiskTable, dist: CovariateDistribution):
     """Covariate-standardized risk PR(y=1 | z) for each exposure pair."""
-    P, w = _stack(table, dist)
-    pr = P @ w
-    return {z: float(pr[i]) for i, z in enumerate(EXPOSURE_LEVELS)}
+    pr = _table_measures(table, dist)[1]
+    return dict(zip(EXPOSURE_LEVELS, pr.tolist()))
 
 
 def _pr_vector(pr) -> np.ndarray:
@@ -214,32 +218,28 @@ def dmrd(pr) -> float:
 
 
 def measure_set(coefficients, spec: ModelSpec, dist: CovariateDistribution,
-                covariate_names=None) -> MeasureSet:
-    """Evaluate all five measures from one parameter vector."""
-    P, w, clamped = _point_risks(coefficients, spec, dist, covariate_names)
-    rcor_, rcrr_, rmor_, rmrr_, dmrd_, pr = _measures_from_risks(P, w)
+                covariate_names=None, design=None) -> MeasureSet:
+    """Evaluate all five measures from one parameter vector. `design` is
+    the (T, w) pair of `_pattern_design`, when the caller has built it."""
+    values, pr, _, clamped = _point(coefficients, spec, dist, covariate_names, design)
     return MeasureSet(
-        rcor=float(rcor_),
-        rcrr=float(rcrr_),
-        rmor=float(rmor_),
-        rmrr=float(rmrr_),
-        dmrd=float(dmrd_),
-        population_risks={z: float(pr[i]) for i, z in enumerate(EXPOSURE_LEVELS)},
-        clamped=clamped,
+        *values[:, 0].tolist(),
+        population_risks=dict(zip(EXPOSURE_LEVELS, pr[0].tolist())),
+        clamped=bool(clamped[0]),
     )
 
 
 def batch_measures(coefficient_matrix, spec: ModelSpec, dist: CovariateDistribution,
-                   covariate_names=None):
+                   covariate_names=None, design=None):
     """Vectorized measure evaluation over many parameter vectors.
 
     Returns (dict measure_id -> array of shape (n,), clamp count). Each row of
     `coefficient_matrix` gives the same values as `measure_set` on that row.
     Rows are evaluated in blocks of a multiple of four rows, about
     BLOCK_ELEMENTS // (4 * S), and the results do not depend on the block
-    size.
+    size. `design` is as for `measure_set`.
     """
-    T, w = _pattern_design(spec, dist, covariate_names)
+    T, w = design or _pattern_design(spec, dist, covariate_names)
     B = np.asarray(coefficient_matrix, dtype=float)
     values = np.empty((len(MEASURE_IDS), len(B)))
     n_clamped = 0
@@ -254,8 +254,6 @@ def batch_measures(coefficient_matrix, spec: ModelSpec, dist: CovariateDistribut
         # four in another order.
         if m % 4:
             block = np.vstack([block, np.zeros((4 - m % 4, B.shape[1]))])
-        P, clamped = _risks((block @ T.T)[:m])
-        for out, v in zip(values, _measures_from_risks(P, w)):
-            out[start:start + m] = v
+        values[:, start:start + m], _, _, clamped = _measures((block @ T.T)[:m], w)
         n_clamped += int(clamped.sum())
     return dict(zip(MEASURE_IDS, values)), n_clamped

@@ -24,7 +24,7 @@ from scipy.special import ndtri
 
 from .data import CovariateDistribution
 from .fitting import FitResult
-from .measures import MEASURE_IDS, MeasureSet, batch_measures, measure_set
+from .measures import MEASURE_IDS, MeasureSet, _pattern_design, batch_measures, measure_set
 from .model import ModelSpec
 
 __all__ = [
@@ -187,8 +187,9 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
         U[start:start + count] = _normal_block(config.seed, start, count, k)
     draws = fit.coefficients + U @ L.T
 
-    values, n_clamped = batch_measures(draws, spec, dist, covariate_names)
-    point = measure_set(fit.coefficients, spec, dist, covariate_names)
+    design = _pattern_design(spec, dist, covariate_names)
+    values, n_clamped = batch_measures(draws, spec, dist, covariate_names, design)
+    point = measure_set(fit.coefficients, spec, dist, covariate_names, design)
     point_values = point.as_dict()
 
     intervals = {}

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import epinteract as ei
 from epinteract.data import InputError, StratumRecord, Dataset
+from epinteract.measures import EXPOSURE_LEVELS
 
 
 class TestStratumRecord:
@@ -77,6 +78,21 @@ class TestCsv:
         dataset.to_csv(buf)
         again = Dataset.from_csv(io.StringIO(buf.getvalue()))
         assert again == dataset
+
+    def test_round_trip_without_covariates(self):
+        # to_csv writes a dataset with no covariates as a four-column header
+        data = Dataset(
+            records=tuple(StratumRecord((), z, 3 + i, 10)
+                          for i, z in enumerate(EXPOSURE_LEVELS)),
+            covariate_names=(),
+        )
+        buf = io.StringIO()
+        data.to_csv(buf)
+        assert buf.getvalue().splitlines()[0] == "z1,z2,successes,totals"
+        again = Dataset.from_csv(io.StringIO(buf.getvalue()))
+        assert again == data
+        assert again.covariate_names == ()
+        assert ei.covariate_distribution(again).weights == {(): 1.0}
 
     def test_malformed_row_cites_line(self):
         text = "x1,z1,z2,successes,totals\n0,0,0,1,2\n0,1,oops,1,2\n"
@@ -219,7 +235,7 @@ _FIELDS = st.sampled_from(
 
 @st.composite
 def _tables(draw):
-    k = draw(st.integers(1, 3))  # the CSV format needs one covariate column
+    k = draw(st.integers(0, 3))
     rows = draw(st.lists(
         st.tuples(st.lists(st.integers(0, 1), min_size=k + 2, max_size=k + 2),
                   st.integers(1, 40), st.integers(0, 40)),

@@ -261,3 +261,21 @@ class TestCsvPipelineInvariance:
         # the same MLE; the fit stops on an absolute score tolerance, and the
         # score grows with c, so the two stop at slightly different iterates
         np.testing.assert_allclose(g.coefficients, f.coefficients, rtol=1e-7, atol=1e-7)
+
+    @given(table=grid_csv())
+    @settings(max_examples=60, deadline=None)
+    def test_swapping_exposures_keeps_the_measures(self, table):
+        # the five measures are symmetric in z1 and z2, so swapping the two
+        # CSV columns under a model symmetric in them must not move them
+        header, lines, _ = table
+        k = header.count(",") - 3
+        formula = "y ~ z1 + z2 + z1:z2" + "".join(
+            f" + x{i + 1} + z1:x{i + 1} + z2:x{i + 1}" for i in range(k))
+        swapped = []
+        for line in lines:
+            *x, z1, z2, s, n = line.split(",")
+            swapped.append(",".join(x + [z2, z1, s, n]))
+        _, ms = fit_csv(header, lines, formula)
+        _, ms2 = fit_csv(header, swapped, formula)
+        for mid, value in ms.as_dict().items():
+            assert ms2.as_dict()[mid] == pytest.approx(value, rel=1e-9, abs=1e-9), mid

@@ -317,12 +317,11 @@ class TestBlockedBatch:
     def test_matches_single_product(self, n, fit_full, spec_full, dist, monkeypatch):
         # blocked values equal those of one unpadded product over all rows,
         # as before evaluation was blocked
-        from epinteract.measures import _measures_from_risks, _pattern_design, _risks
+        from epinteract.measures import _measures, _pattern_design
 
         B = self.draws(fit_full, n)
         T, w = _pattern_design(spec_full, dist, None)
-        P, clamped = _risks(B @ T.T)
-        expected = _measures_from_risks(P, w)
+        expected, _, _, clamped = _measures(B @ T.T, w)
         values, n_clamped = self.batch(B, spec_full, dist, monkeypatch, 3)
         assert n_clamped == int(clamped.sum()) == 1
         for mid, v in zip(ei.MEASURE_IDS, expected):
@@ -334,13 +333,13 @@ class TestBlockedBatch:
         # a budget below four rows still gives four-row blocks, and only the
         # last block can be short, so at most one block is padded
         B = self.draws(fit_full, 47)
-        risks, sizes = ei.measures._risks, []
+        kernel, sizes = ei.measures._measures, []
 
-        def recording(P):
-            sizes.append(len(P))
-            return risks(P)
+        def recording(eta, w):
+            sizes.append(len(eta))
+            return kernel(eta, w)
 
-        monkeypatch.setattr(ei.measures, "_risks", recording)
+        monkeypatch.setattr(ei.measures, "_measures", recording)
         self.batch(B, spec_full, dist, monkeypatch, rows)
         assert sizes == [step] * (47 // step) + [47 % step]
 
@@ -359,3 +358,69 @@ class TestBlockedBatch:
         # only the (5, n) result grows, by 40 bytes a row; evaluating all rows
         # at once grew by about 650 bytes a row here
         assert peak(40_000) - peak(10_000) < 30_000 * 64
+
+
+class TestLogOddsPrecision:
+    """Risks near 1 must not cost digits: RCOR and RMOR against a 40-digit
+    decimal reference computed from the linear predictors."""
+
+    @staticmethod
+    def reference(coef, spec, dist):
+        from decimal import Decimal, localcontext
+
+        with localcontext() as ctx:
+            ctx.prec = 40
+            beta = [Decimal(float(b)) for b in coef]
+            rcor_, pr, qr = Decimal(0), [Decimal(0)] * 4, [Decimal(0)] * 4
+            for x, w in dist.weights.items():
+                w = Decimal(w)
+                values = dict(zip([f"x{i + 1}" for i in range(len(x))], x))
+                eta = []
+                for z1, z2 in EXPOSURE_LEVELS:
+                    values.update(z1=z1, z2=z2)
+                    eta.append(sum(
+                        b * math.prod(values[v] for v in term.variables)
+                        for b, term in zip(beta, spec.terms)
+                    ))
+                rcor_ += w * (eta[3] - eta[1] - eta[2] + eta[0]).exp()
+                for i, e in enumerate(eta):
+                    p = 1 / (1 + (-e).exp())
+                    pr[i] += w * p
+                    qr[i] += w * (1 - p)  # 40 digits leave ~30 near p = 1
+            odds = [p / q for p, q in zip(pr, qr)]
+            rmor_ = (odds[3] / odds[1]) / (odds[2] / odds[0])
+            return float(rcor_), float(rmor_), [float(p) for p in pr]
+
+    @staticmethod
+    def vectors(fit_full):
+        # the MLE with the intercept raised until the population risks are
+        # about 1 - 1e-9, then draws 4 standard errors from the MLE in every
+        # coefficient
+        rng = np.random.default_rng(25)
+        sd = np.sqrt(np.diag(fit_full.cov_robust))
+        high = fit_full.coefficients.copy()
+        high[0] += 19.0
+        signs = rng.choice([-1.0, 1.0], size=(8, 8))
+        return np.vstack([high, fit_full.coefficients + 4 * sd * signs])
+
+    def test_near_one_risks_keep_full_precision(self, fit_full, spec_full, dist):
+        B = self.vectors(fit_full)
+        _, _, pr = self.reference(B[0], spec_full, dist)
+        assert 1e-10 < 1.0 - max(pr) and 1.0 - min(pr) < 1e-8
+        batch, _ = ei.measures.batch_measures(B, spec_full, dist)
+        for i, coef in enumerate(B):
+            rcor_, rmor_, _ = self.reference(coef, spec_full, dist)
+            ms = ei.measure_set(coef, spec_full, dist)
+            assert not ms.clamped
+            for got in (ms.rcor, batch["RCOR"][i]):
+                assert got == pytest.approx(rcor_, rel=1e-13)
+            for got in (ms.rmor, batch["RMOR"][i]):
+                assert got == pytest.approx(rmor_, rel=1e-13)
+
+    def test_rcor_is_exp_beta3_near_one(self, fit_reduced, spec_reduced, dist):
+        # no z-x products: every stratum's ratio of odds ratios is exp(beta3)
+        coef = fit_reduced.coefficients.copy()
+        coef[0] += 19.0
+        ms = ei.measure_set(coef, spec_reduced, dist)
+        assert 1.0 - ms.population_risks[(1, 1)] < 1e-8
+        assert ms.rcor == pytest.approx(math.exp(coef[3]), rel=1e-13)

@@ -187,6 +187,23 @@ class TestSimulate:
         for mid, value in sim.point.as_dict().items():
             assert sim[mid].point == value
 
+    def test_pattern_design_built_once(self, fit_full, spec_full, dist, monkeypatch):
+        built = []
+        real = simci._pattern_design
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simci, "_pattern_design", counting)
+        monkeypatch.setattr(ei.measures, "_pattern_design", counting)
+        result = simulate(fit_full, spec_full, dist, SimulationConfig(n_draws=10, seed=3))
+        assert len(built) == 1
+        expected = ei.measure_set(fit_full.coefficients, spec_full, dist)
+        assert result.point.as_dict() == expected.as_dict()
+        assert result.point.population_risks == expected.population_risks
+        assert result.point.clamped == expected.clamped
+
     def test_draws_sorted_and_sized(self, sim):
         for mid in ei.MEASURE_IDS:
             d = sim[mid].draws
