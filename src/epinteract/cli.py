@@ -6,20 +6,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from .data import Dataset, InputError, covariate_distribution, load_fixture, FIXTURES
 from .fitting import SingularDesignError, fit
-from .measures import MEASURE_IDS
+from .measures import MEASURE_IDS, RISK_CLAMP
 from .model import SpecificationError, expand_dataset, parse_formula
-from .simci import (
-    SimulationConfig,
-    export_draws_csv,
-    histogram,
-    simulate,
-    summary_dict,
-)
+from .simci import CHUNK, SimulationConfig, histogram, simulate
 
 EXIT_OK = 0
 EXIT_INPUT = 2       # CSV / formula / argument problems
@@ -109,24 +107,25 @@ def _render_report(labels, result_fit, sim, levels):
     return "\n".join(lines) + "\n"
 
 
+def _error(message, code=EXIT_INPUT) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def run(args) -> int:
     out = Path(args.out)
     formats = {f.strip() for f in args.format.split(",") if f.strip()}
     bad = formats - {"table", "json", "csv"}
     if bad:
-        print(f"error: unknown output format(s) {sorted(bad)}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(f"unknown output format(s) {sorted(bad)}")
     if not formats:
-        print("error: --format names no output format", file=sys.stderr)
-        return EXIT_INPUT
+        return _error("--format names no output format")
     try:
         levels = tuple(float(t) for t in args.levels.split(","))
     except ValueError:
-        print(f"error: cannot parse levels {args.levels!r}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(f"cannot parse levels {args.levels!r}")
     if args.bins < 1:
-        print(f"error: --bins must be >= 1, got {args.bins}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(f"--bins must be >= 1, got {args.bins}")
     try:
         config = SimulationConfig(
             n_draws=args.draws,
@@ -135,121 +134,166 @@ def run(args) -> int:
             covariance_choice="robust" if args.covariance == "robust" else "model_based",
         )
     except ValueError as exc:
-        print(f"error: simulation config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(f"simulation config: {exc}")
     try:
         # the nearest existing path decides whether the directory can be made
         existing = next(p for p in (out, *out.parents) if p.exists())
         if not existing.is_dir():
             raise NotADirectoryError(f"{existing} is not a directory")
     except OSError as exc:
-        print(f"error: output stage: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(f"output stage: {exc}")
 
     try:
         data = load_fixture(args.fixture) if args.fixture else Dataset.from_csv(args.input)
     except (InputError, OSError) as exc:
-        print(f"error: input stage: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(f"input stage: {exc}")
 
     try:
         spec = parse_formula(args.formula, header=data.variable_names)
         X, s, n = expand_dataset(data, spec)
     except SpecificationError as exc:
-        print(f"error: formula stage: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(f"formula stage: {exc}")
 
     try:
         fitted = fit(X, s, n)
     except SingularDesignError as exc:
-        print(f"error: fitting stage: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+        return _error(f"fitting stage: {exc}", EXIT_SINGULAR)
     if not fitted.converged:
-        print(
-            f"error: fitting stage: did not converge ({fitted.message}; "
-            f"{fitted.iterations} iterations)",
-            file=sys.stderr,
-        )
-        return EXIT_NO_CONVERGE
+        return _error(f"fitting stage: did not converge ({fitted.message}; "
+                      f"{fitted.iterations} iterations)", EXIT_NO_CONVERGE)
 
     dist = covariate_distribution(data)
     sim = simulate(fitted, spec, dist, config, data.covariate_names)
+    sigma = fitted.cov_robust if args.covariance == "robust" else fitted.cov_model
+    if not sigma.any():
+        print(f"warning: the {args.covariance} covariance is all zeros, so every "
+              "interval equals its point estimate", file=sys.stderr)
+    if sim.n_clamped_draws:
+        print(f"warning: {sim.n_clamped_draws} of {args.draws} draws had a risk "
+              f"clamped to within {RISK_CLAMP:g} of 0 or 1", file=sys.stderr)
+    labels = spec.term_labels
+    report = _render_report(labels, fitted, sim, levels) if "table" in formats else None
     try:
-        _write_outputs(out, formats, args, levels, spec.term_labels, fitted, sim)
+        _write_bundle(out, lambda stage: _write_files(
+            stage, formats, args, levels, labels, fitted, sim, report))
     except OSError as exc:
-        print(f"error: output stage: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(f"output stage: {exc}")
+    if report is not None:
+        print(report, end="")
     return EXIT_OK
 
 
-def _write_outputs(out, formats, args, levels, labels, fitted, sim):
-    out.mkdir(parents=True, exist_ok=True)
-    if "table" in formats:
-        report = _render_report(labels, fitted, sim, levels)
-        (out / "report.txt").write_text(report, encoding="utf-8")
-        print(report, end="")
+def _write_bundle(out: Path, write) -> None:
+    """Call write(stage) on a new staging directory inside out, then move
+    every file it wrote into out. On any failure out is left as it was: the
+    staging directory is removed, and so is out if this call created it."""
+    made = None if out.exists() else next(
+        p for p in (out, *out.parents) if p.parent.exists())
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+        try:
+            write(stage)
+            for staged in stage.iterdir():
+                os.replace(staged, out / staged.name)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
+
+def _write_files(stage, formats, args, levels, labels, fitted, sim, report):
+    """Write every requested output file into the directory stage."""
+    def create(name):
+        return open(stage / name, "w", newline="", encoding="utf-8")
+
+    if report is not None:
+        with create("report.txt") as fh:
+            fh.write(report)
     if "csv" in formats:
-        with open(out / "coefficients.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["term", "estimate", "se_model", "se_robust"])
-            for j, name in enumerate(labels):
-                w.writerow(
-                    [
-                        name,
-                        repr(float(fitted.coefficients[j])),
-                        repr(float(fitted.cov_model[j, j] ** 0.5)),
-                        repr(float(fitted.cov_robust[j, j] ** 0.5)),
-                    ]
-                )
-        with open(out / "measures.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            head = ["measure", "estimate"]
-            for level in levels:
-                head += [f"lower_{level:g}", f"upper_{level:g}"]
-            w.writerow(head)
-            for mid in MEASURE_IDS:
-                est = sim[mid]
-                row = [mid, repr(float(est.point))]
-                for level in levels:
-                    lo, hi = est.endpoints[level]
-                    row += [repr(float(lo)), repr(float(hi))]
-                w.writerow(row)
-        export_draws_csv(sim, out / "draws.csv")
+        with create("coefficients.csv") as fh:
+            _write_rows(fh, ["term", "estimate", "se_model", "se_robust"], [
+                [name, repr(float(fitted.coefficients[j])),
+                 repr(float(fitted.cov_model[j, j] ** 0.5)),
+                 repr(float(fitted.cov_robust[j, j] ** 0.5))]
+                for j, name in enumerate(labels)
+            ])
+        with create("measures.csv") as fh:
+            _write_rows(
+                fh,
+                ["measure", "estimate"]
+                + [f"{side}_{level:g}" for level in levels for side in ("lower", "upper")],
+                [[mid, repr(float(sim[mid].point))]
+                 + [repr(float(v)) for level in levels for v in sim[mid].endpoints[level]]
+                 for mid in MEASURE_IDS],
+            )
+        with create("draws.csv") as fh:
+            export_draws_csv(sim, fh)
         for mid in MEASURE_IDS:
-            with open(out / f"hist_{mid}.csv", "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["bin_left", "bin_right", "count"])
-                for left, right, count in histogram(sim[mid].draws, args.bins):
-                    w.writerow([repr(left), repr(right), count])
-
+            with create(f"hist_{mid}.csv") as fh:
+                _write_rows(fh, ["bin_left", "bin_right", "count"], [
+                    [repr(left), repr(right), count]
+                    for left, right, count in histogram(sim[mid].draws, args.bins)
+                ])
     if "json" in formats:
-        bundle = summary_dict(sim)
-        bundle["coefficients"] = {
-            name: float(fitted.coefficients[j]) for j, name in enumerate(labels)
+        bundle = summary_dict(sim, fitted, labels, args, levels)
+        with create("report.json") as fh:
+            fh.write(json.dumps(bundle, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _write_rows(fh, header, rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def export_draws_csv(sim, fh) -> None:
+    """Write every sorted draw to the open text file fh, as CSV rows
+    measure_id,draw_index,value."""
+    # same bytes as csv.writer rows [mid, i, repr(float(v))]: no field
+    # ever needs quoting, and tolist() yields the Python floats repr sees;
+    # converting per CHUNK keeps the peak RSS of a long-lived process flat
+    fh.write("measure_id,draw_index,value\n")
+    for mid in MEASURE_IDS:
+        draws = sim[mid].draws
+        for start in range(0, len(draws), CHUNK):
+            fh.write("".join([
+                f"{mid},{i},{v!r}\n"
+                for i, v in enumerate(draws[start:start + CHUNK].tolist(), start)
+            ]))
+
+
+def summary_dict(sim, fitted, labels, args, levels) -> dict:
+    """The report.json bundle: measures with their interval endpoints,
+    coefficients, covariances, fit and simulation diagnostics, and the
+    run's settings."""
+    measures = {
+        mid: {
+            "point": sim[mid].point,
+            "intervals": {f"{level:g}": list(sim[mid].endpoints[level]) for level in levels},
         }
-        bundle["covariance_model"] = fitted.cov_model.tolist()
-        bundle["covariance_robust"] = fitted.cov_robust.tolist()
-        bundle["fit"] = {
+        for mid in MEASURE_IDS
+    }
+    measures["DCRD"] = {"point": sim.point.dcrd, "equals": "DMRD"}
+    return {
+        "measures": measures,
+        "diagnostics": {"n_clamped_draws": sim.n_clamped_draws, "cholesky_jitter": sim.jitter},
+        "coefficients": {name: float(c) for name, c in zip(labels, fitted.coefficients)},
+        "covariance_model": fitted.cov_model.tolist(),
+        "covariance_robust": fitted.cov_robust.tolist(),
+        "fit": {
             "log_likelihood": fitted.log_likelihood,
             "iterations": fitted.iterations,
             "converged": fitted.converged,
-            "dispersion": fitted.dispersion,
-        }
-        bundle["population_risks"] = {
-            f"z={z}": v for z, v in sim.point.population_risks.items()
-        }
-        bundle["measures"]["DCRD"] = {"point": sim.point.dcrd, "equals": "DMRD"}
-        bundle["config"] = {
-            "formula": args.formula,
-            "draws": args.draws,
-            "seed": args.seed,
-            "levels": list(levels),
-            "covariance": args.covariance,
-        }
-        (out / "report.json").write_text(
-            json.dumps(bundle, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+            # NaN with no residual degrees of freedom; JSON has no NaN
+            "dispersion": fitted.dispersion if math.isfinite(fitted.dispersion) else None,
+        },
+        "population_risks": {f"z={z}": v for z, v in sim.point.population_risks.items()},
+        "config": {"formula": args.formula, "draws": args.draws, "seed": args.seed,
+                   "levels": list(levels), "covariance": args.covariance},
+    }
 
 
 def main(argv=None) -> int:

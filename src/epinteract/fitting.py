@@ -98,11 +98,16 @@ def robust_covariance(coefficients, design, successes, totals):
     """
     info = observed_information(coefficients, design, totals)
     inv = _invert_information(info, design)
+    return _dispersion(coefficients, design, successes, totals, inv)[1]
+
+
+def _dispersion(coefficients, design, successes, totals, inv):
+    """(phi, phi * inv) with phi = deviance / df; with df <= 0, (NaN, 0 * inv)."""
     df = design.shape[0] - design.shape[1]
     if df <= 0:
-        return 0.0 * inv
+        return float("nan"), 0.0 * inv
     phi = deviance(coefficients, design, successes, totals) / df
-    return phi * inv
+    return phi, phi * inv
 
 
 def sandwich_covariance(coefficients, design, successes, totals):
@@ -162,8 +167,7 @@ def fit(design, successes, totals) -> FitResult:
         raise ValueError("counts must satisfy 0 <= successes <= totals, totals >= 1")
     _check_rank(design)
 
-    n_rows, n_params = design.shape
-    beta = np.zeros(n_params)
+    beta = np.zeros(design.shape[1])
     # start the intercept (a constant column, if any) at the pooled logit
     const_cols = np.where(np.all(design == 1.0, axis=0))[0]
     if const_cols.size:
@@ -221,10 +225,7 @@ def fit(design, successes, totals) -> FitResult:
 
     info = observed_information(beta, design, totals)
     cov_model = _invert_information(info, design)
-    # robust_covariance's numbers, from the one inversion above
-    df = n_rows - n_params
-    phi = deviance(beta, design, successes, totals) / df if df > 0 else float("nan")
-    cov_robust = phi * cov_model if df > 0 else 0.0 * cov_model
+    phi, cov_robust = _dispersion(beta, design, successes, totals, cov_model)
     return FitResult(
         coefficients=beta,
         cov_model=cov_model,

@@ -128,18 +128,13 @@ def _standard_normals(seed: int, draw_index: int, k: int) -> np.ndarray:
     return _normal_block(seed, draw_index, 1, k)[0]
 
 
-def draw_parameters(fit: FitResult, config: SimulationConfig, draw_index: int,
-                    _L=None) -> np.ndarray:
+def draw_parameters(fit: FitResult, config: SimulationConfig, draw_index: int) -> np.ndarray:
     """One deterministic draw from N(coefficients, selected covariance)."""
     if not 0 <= draw_index < config.n_draws:
         raise ValueError(f"draw_index {draw_index} outside [0, {config.n_draws})")
-    if _L is None:
-        sigma = (
-            fit.cov_robust if config.covariance_choice == "robust" else fit.cov_model
-        )
-        _L, _ = cholesky(sigma)
+    L, _ = cholesky(fit.cov_robust if config.covariance_choice == "robust" else fit.cov_model)
     u = _standard_normals(config.seed, draw_index, len(fit.coefficients))
-    return fit.coefficients + _L @ u
+    return fit.coefficients + L @ u
 
 
 def percentile_interval(draws, level: float):
@@ -163,6 +158,9 @@ def histogram(draws, n_bins: int):
     lo, hi = float(draws.min()), float(draws.max())
     if hi <= lo:
         hi = lo + 1e-12  # degenerate range rule
+    # numpy needs n_bins distinct edges: span at least 2 * n_bins ulps of the
+    # larger end, so the bins stay distinct even if hi crosses a binade
+    hi = max(hi, lo + 2 * n_bins * float(np.spacing(max(abs(lo), abs(hi)))))
     counts, edges = np.histogram(draws, bins=n_bins, range=(lo, hi))
     return [
         (float(edges[i]), float(edges[i + 1]), int(counts[i]))
@@ -208,47 +206,3 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
     return SimulationResult(
         intervals=intervals, n_clamped_draws=n_clamped, jitter=jitter, point=point
     )
-
-
-def export_draws_csv(result: SimulationResult, target) -> None:
-    """Write all sorted draws as CSV with columns measure_id, draw_index,
-    value."""
-    def _write(fh):
-        # same bytes as csv.writer rows [mid, i, repr(float(v))]: no field
-        # ever needs quoting, and tolist() yields the Python floats repr sees;
-        # converting per chunk keeps the peak RSS of a long-lived process flat
-        fh.write("measure_id,draw_index,value\n")
-        for mid in MEASURE_IDS:
-            draws = result[mid].draws
-            for start in range(0, len(draws), CHUNK):
-                fh.write("".join([
-                    f"{mid},{i},{v!r}\n"
-                    for i, v in enumerate(draws[start:start + CHUNK].tolist(), start)
-                ]))
-
-    if hasattr(target, "write"):
-        _write(target)
-    else:
-        with open(target, "w", newline="", encoding="utf-8") as fh:
-            _write(fh)
-
-
-def summary_dict(result: SimulationResult) -> dict:
-    """JSON-ready summary: point estimates, endpoints per level and
-    diagnostics."""
-    return {
-        "measures": {
-            mid: {
-                "point": result[mid].point,
-                "intervals": {
-                    f"{level:g}": list(result[mid].endpoints[level])
-                    for level in result[mid].endpoints
-                },
-            }
-            for mid in MEASURE_IDS
-        },
-        "diagnostics": {
-            "n_clamped_draws": result.n_clamped_draws,
-            "cholesky_jitter": result.jitter,
-        },
-    }

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -33,6 +34,10 @@ class TestRun:
             "draws.csv",
         } | {f"hist_{m}.csv" for m in ("RCOR", "RCRR", "RMOR", "RMRR", "DMRD")}
         assert expected <= names
+
+    def test_no_staging_directory_left(self, full_run):
+        assert all(p.is_file() for p in full_run.iterdir())
+        assert len(list(full_run.iterdir())) == 10
 
     def test_point_estimates(self, full_run):
         bundle = json.loads((full_run / "report.json").read_text())
@@ -212,6 +217,103 @@ class TestOutputStage:
         assert rc == cli.EXIT_INPUT
         err = capsys.readouterr().err
         assert "error: output stage:" in err and "No space left" in err
+        assert not (tmp_path / "out").exists()
+
+        existing = _out_with_sentinel(tmp_path / "existing")
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                     "--draws", "10", "--out", str(existing))
+        assert rc == cli.EXIT_INPUT
+        assert _listing(existing) == {"sentinel.bin": SENTINEL}
+
+    def test_crashing_writer_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise ValueError("Too many bins for data range")
+        monkeypatch.setattr(cli, "histogram", crash)
+        fresh = tmp_path / "new" / "nested"
+        existing = _out_with_sentinel(tmp_path / "existing")
+        for out in (fresh, existing):
+            with pytest.raises(ValueError, match="Too many bins"):
+                run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                        "--draws", "10", "--out", str(out))
+        assert not (tmp_path / "new").exists()
+        assert _listing(existing) == {"sentinel.bin": SENTINEL}
+        assert capsys.readouterr().out == ""  # the table is printed only once written
+
+    def test_bundle_replaces_old_files_and_leaves_others(self, tmp_path):
+        out = _out_with_sentinel(tmp_path / "out")
+        (out / "report.json").write_text("stale")
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                     "--draws", "10", "--format", "json", "--out", str(out))
+        assert rc == cli.EXIT_OK
+        files = _listing(out)
+        assert set(files) == {"sentinel.bin", "report.json"}
+        assert files["sentinel.bin"] == SENTINEL
+        assert json.loads(files["report.json"])["config"]["draws"] == 10
+
+
+SENTINEL = bytes(range(256))
+
+
+def _out_with_sentinel(out):
+    out.mkdir()
+    (out / "sentinel.bin").write_bytes(SENTINEL)
+    return out
+
+
+def _listing(out):
+    """Every entry under out, files and directories, by relative path."""
+    return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
+            for p in out.rglob("*")}
+
+
+SATURATED = ("z1,z2,successes,totals\n"
+             "0,0,1,100\n0,1,1,100\n1,0,1,100\n1,1,90,100\n")
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestDiagnostics:
+    def test_saturated_table_writes_the_whole_bundle(self, tmp_path, capsys):
+        src = tmp_path / "saturated.csv"
+        src.write_text(SATURATED)
+        out = tmp_path / "out"
+        rc = run_cli("--input", str(src), "--formula", "y ~ z1 + z2 + z1:z2",
+                     "--seed", "1", "--out", str(out))
+        assert rc == cli.EXIT_OK
+        assert set(_listing(out)) == {
+            "report.txt", "report.json", "coefficients.csv", "measures.csv", "draws.csv",
+        } | {f"hist_{m}.csv" for m in ("RCOR", "RCRR", "RMOR", "RMRR", "DMRD")}
+        bundle = json.loads((out / "report.json").read_text(), parse_constant=_no_constant)
+        assert bundle["fit"]["dispersion"] is None
+        rcor = bundle["measures"]["RCOR"]
+        assert rcor["point"] == pytest.approx(891.0)
+        assert rcor["intervals"]["0.95"] == [rcor["point"], rcor["point"]]
+        err = capsys.readouterr().err
+        assert "warning: the robust covariance is all zeros" in err
+        assert "clamped" not in err
+
+    def test_clamped_draws_warn_without_changing_files(self, tmp_path, capsys, monkeypatch):
+        real = cli.simulate
+        outs, errs = [], []
+        for n_clamped in (0, 3):
+            monkeypatch.setattr(cli, "simulate", lambda *args, n=n_clamped:
+                                dataclasses.replace(real(*args), n_clamped_draws=n))
+            outs.append(tmp_path / str(n_clamped))
+            rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                         "--draws", "50", "--seed", "2", "--out", str(outs[-1]))
+            assert rc == cli.EXIT_OK
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == ""
+        assert errs[1].startswith("warning: 3 of 50 draws had a risk clamped")
+        assert errs[1].count("\n") == 1
+        quiet, loud = (_listing(out) for out in outs)
+        assert set(quiet) == set(loud)
+        for name in quiet:
+            if name not in ("report.txt", "report.json"):
+                assert quiet[name] == loud[name], name
+        assert json.loads(loud["report.json"])["diagnostics"]["n_clamped_draws"] == 3
 
 
 def test_csv_to_fit_builds_no_records(tmp_path, monkeypatch, dataset):

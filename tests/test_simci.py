@@ -9,6 +9,7 @@ from scipy.special import ndtri
 
 import epinteract as ei
 from epinteract import simci
+from epinteract.cli import export_draws_csv
 from epinteract.simci import (
     CHUNK,
     IntervalEstimate,
@@ -20,7 +21,6 @@ from epinteract.simci import (
     _standard_normals,
     cholesky,
     draw_parameters,
-    export_draws_csv,
     histogram,
     percentile_interval,
     simulate,
@@ -159,6 +159,18 @@ class TestHistogram:
         bins = histogram(np.full(5, 2.0), 3)
         assert sum(c for _, _, c in bins) == 5
         assert bins[0][1] - bins[-1][0] <= 1e-12 + 1e-12
+
+    @pytest.mark.parametrize("draws", [
+        np.full(5, 3400.0),
+        np.array([8.85, np.nextafter(np.nextafter(8.85, 9.0), 9.0)]),
+        np.array([-1e300, -1e300]),
+    ])
+    def test_narrow_range_gives_distinct_bins(self, draws):
+        # numpy refuses a range narrower than n_bins representable steps
+        bins = histogram(draws, 30)
+        assert sum(c for _, _, c in bins) == len(draws)
+        edges = [left for left, _, _ in bins] + [bins[-1][1]]
+        assert edges[0] == draws.min() and all(np.diff(edges) > 0)
 
     def test_bell_shape(self):
         rng = np.random.default_rng(2)
@@ -382,5 +394,6 @@ class TestExportDrawsCsv:
         columns[0][: len(SPECIAL_VALUES)] = SPECIAL_VALUES
         result = _result_with_draws(columns)
         target = tmp_path / "draws.csv"
-        export_draws_csv(result, target)
+        with open(target, "w", newline="", encoding="utf-8") as fh:
+            export_draws_csv(result, fh)
         assert target.read_bytes() == _reference_draws_csv(result).encode("utf-8")
