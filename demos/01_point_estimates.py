@@ -31,7 +31,7 @@ for formula in (ei.model_25_formula, ei.model_26_formula):
         print(f"dispersion:   {result.dispersion:.2f} "
               "(>1: the counts are over-dispersed relative to binomial)")
 
-    ms = ei.measure_set(result.coefficients, spec, dist, data.covariate_names)
+    ms = ei.measure_set(result.coefficients, spec, dist)
     print("population risks PR(y=1|z):")
     for z, pr in ms.population_risks.items():
         print(f"  z={z}: {pr:.3f}")
@@ -40,5 +40,5 @@ for formula in (ei.model_25_formula, ei.model_26_formula):
 
     # the conditional and marginal ratio measures disagree (odds and risk
     # ratios are non-collapsible), while the difference measure coincides
-    table = ei.risk_table(result.coefficients, spec, dist, data.covariate_names)
+    table = ei.risk_table(result.coefficients, spec, dist)
     print(f"  DCRD == DMRD: {ei.dcrd(table, dist):.4f} == {ms.dmrd:.4f}")

@@ -18,7 +18,7 @@ X, s, n = ei.expand_dataset(data, spec)
 result = ei.fit(X, s, n)
 
 config = ei.SimulationConfig(n_draws=20_000, seed=11, levels=(0.50, 0.95))
-sim = ei.simulate(result, spec, dist, config, data.covariate_names)
+sim = ei.simulate(result, spec, dist, config)
 
 print(f"{config.n_draws} draws, seed {config.seed}, "
       f"{sim.n_clamped_draws} clamped, jitter {sim.jitter:g}\n")

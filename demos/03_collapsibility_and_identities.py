@@ -23,7 +23,7 @@ X, s, n = ei.expand_dataset(data, spec)
 result = ei.fit(X, s, n)
 coef = result.coefficients
 
-table = ei.risk_table(coef, spec, dist, data.covariate_names)
+table = ei.risk_table(coef, spec, dist)
 pr = ei.population_risk(table, dist)
 
 print("collapsibility of the difference measure:")
@@ -50,7 +50,7 @@ rng = np.random.default_rng(0)
 worst = 0.0
 for _ in range(200):
     c = rng.normal(0, 1, len(coef))
-    t = ei.risk_table(c, spec, dist, data.covariate_names)
+    t = ei.risk_table(c, spec, dist)
     worst = max(worst, abs(ei.rcor(t, dist) - math.exp(c[3])),
                 abs(ei.dcrd(t, dist) - ei.dmrd(ei.population_risk(t, dist))))
 print(f"  worst deviation over 200 random models: {worst:.2e}")

@@ -163,9 +163,11 @@ def run(args) -> int:
                       f"{fitted.iterations} iterations)", EXIT_NO_CONVERGE)
 
     dist = covariate_distribution(data)
-    sim = simulate(fitted, spec, dist, config, data.covariate_names)
-    sigma = fitted.cov_robust if args.covariance == "robust" else fitted.cov_model
-    if not sigma.any():
+    try:
+        sim = simulate(fitted, spec, dist, config)
+    except MemoryError as exc:
+        return _error(f"simulation stage: {exc}")
+    if not config.covariance(fitted).any():
         print(f"warning: the {args.covariance} covariance is all zeros, so every "
               "interval equals its point estimate", file=sys.stderr)
     if sim.n_clamped_draws:

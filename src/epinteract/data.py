@@ -283,14 +283,22 @@ def _csv_cells(reader, width: int):
 
 @dataclass(frozen=True, eq=False)
 class CovariateDistribution:
-    """Empirical distribution of covariate patterns: pattern -> sample proportion."""
+    """Empirical distribution of covariate patterns: pattern -> sample
+    proportion. `covariate_names` names the pattern's columns in order; None
+    reads them as x1..xK."""
 
     weights: dict[tuple[int, ...], float]
+    covariate_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-12:
             raise InputError(f"weights must sum to 1, got {total!r}")
+        if self.covariate_names is not None:
+            width = len(self.covariate_names)
+            for x in self.weights:
+                if len(x) != width:
+                    raise InputError(f"{width} covariate names for the pattern {x}")
 
     @property
     def patterns(self) -> list[tuple[int, ...]]:
@@ -299,7 +307,8 @@ class CovariateDistribution:
 
 def covariate_distribution(data: Dataset) -> CovariateDistribution:
     """Proportion of subjects with each covariate pattern, marginal over
-    exposure; patterns in order of first appearance."""
+    exposure, with the dataset's covariate names; patterns in order of first
+    appearance."""
     k = len(data.covariate_names)
     first, group = _first_appearance(data.cells[:, :k])
     counts = np.zeros(len(first), dtype=np.int64)
@@ -307,7 +316,8 @@ def covariate_distribution(data: Dataset) -> CovariateDistribution:
     n = data.n_total
     patterns = map(tuple, data.cells[first, :k].tolist())
     return CovariateDistribution(
-        weights={x: c / n for x, c in zip(patterns, counts.tolist())}
+        weights={x: c / n for x, c in zip(patterns, counts.tolist())},
+        covariate_names=data.covariate_names,
     )
 
 

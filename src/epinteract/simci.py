@@ -68,6 +68,10 @@ class SimulationConfig:
                 "covariance_choice must be 'robust' or 'model_based'"
             )
 
+    def covariance(self, fit: FitResult) -> np.ndarray:
+        """The fitted covariance that covariance_choice selects."""
+        return fit.cov_robust if self.covariance_choice == "robust" else fit.cov_model
+
 
 @dataclass(frozen=True, eq=False)
 class IntervalEstimate:
@@ -132,7 +136,7 @@ def draw_parameters(fit: FitResult, config: SimulationConfig, draw_index: int) -
     """One deterministic draw from N(coefficients, selected covariance)."""
     if not 0 <= draw_index < config.n_draws:
         raise ValueError(f"draw_index {draw_index} outside [0, {config.n_draws})")
-    L, _ = cholesky(fit.cov_robust if config.covariance_choice == "robust" else fit.cov_model)
+    L, _ = cholesky(config.covariance(fit))
     u = _standard_normals(config.seed, draw_index, len(fit.coefficients))
     return fit.coefficients + L @ u
 
@@ -169,15 +173,12 @@ def histogram(draws, n_bins: int):
 
 
 def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
-             config: SimulationConfig, covariate_names=None) -> SimulationResult:
+             config: SimulationConfig) -> SimulationResult:
     """Approximate sampling distribution of every measure, from one shared
     stream of parameter draws."""
     if not fit.converged:
         raise ValueError("cannot simulate from a non-converged fit")
-    sigma = (
-        fit.cov_robust if config.covariance_choice == "robust" else fit.cov_model
-    )
-    L, jitter = cholesky(sigma)
+    L, jitter = cholesky(config.covariance(fit))
     k = len(fit.coefficients)
     U = np.empty((config.n_draws, k))
     for start in range(0, config.n_draws, CHUNK):
@@ -185,9 +186,9 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
         U[start:start + count] = _normal_block(config.seed, start, count, k)
     draws = fit.coefficients + U @ L.T
 
-    design = _pattern_design(spec, dist, covariate_names)
-    values, n_clamped = batch_measures(draws, spec, dist, covariate_names, design)
-    point = measure_set(fit.coefficients, spec, dist, covariate_names, design)
+    design = _pattern_design(spec, dist)
+    values, n_clamped = batch_measures(draws, spec, dist, design)
+    point = measure_set(fit.coefficients, spec, dist, design)
     point_values = point.as_dict()
 
     intervals = {}

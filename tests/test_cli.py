@@ -172,6 +172,18 @@ class TestErrorPaths:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unallocatable_draws_are_a_simulation_stage_error(self, tmp_path, capsys):
+        # 1e15 draws of 8 coefficients need 64 PB, more than a 128 TiB user
+        # address space holds, so the request fails without allocating
+        out = tmp_path / "out"
+        rc = run_cli(
+            "--fixture", "nguyen2008", "--formula", FULL_MODEL,
+            "--draws", str(10**15), "--out", str(out),
+        )
+        assert rc == cli.EXIT_INPUT
+        assert "error: simulation stage:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_largest_seed_accepted(self, tmp_path):
         rc = run_cli(
             "--fixture", "nguyen2008", "--formula", FULL_MODEL,

@@ -63,6 +63,13 @@ class TestCovariateDistribution:
         d = ei.covariate_distribution(data)
         assert d.weights == {(1,): 1.0}
 
+    def test_carries_covariate_names(self, dataset, dist):
+        assert dist.covariate_names == dataset.covariate_names
+
+    def test_name_count_must_match_pattern_width(self):
+        with pytest.raises(InputError, match="1 covariate names"):
+            ei.CovariateDistribution(weights={(0, 1): 1.0}, covariate_names=("x1",))
+
     def test_invariant_to_record_order(self, dataset):
         reversed_data = Dataset(
             records=tuple(reversed(dataset.records)),

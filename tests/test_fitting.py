@@ -233,7 +233,7 @@ def fit_csv(header, lines, formula):
     f = ei.fit(*ei.expand_dataset(data, spec))
     assert f.converged
     dist = ei.covariate_distribution(data)
-    return f, ei.measure_set(f.coefficients, spec, dist, data.covariate_names)
+    return f, ei.measure_set(f.coefficients, spec, dist)
 
 
 class TestCsvPipelineInvariance:

@@ -8,7 +8,7 @@ import epinteract as ei
 from epinteract.data import CovariateDistribution
 from epinteract.measures import EXPOSURE_LEVELS, RiskTable
 
-from conftest import FULL_MEASURES, REDUCED_MEASURES, random_risk_table
+from conftest import FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, random_risk_table
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,21 @@ class TestMeasureSet:
         for i in range(20):
             ms = ei.measure_set(B[i], spec_full, dist)
             for mid, arr in values.items():
-                assert arr[i] == pytest.approx(ms.as_dict()[mid], rel=1e-10), mid
+                assert arr[i] == ms.as_dict()[mid], mid
+
+    def test_covariate_column_order_does_not_matter(self, dataset, fit_full, spec_full,
+                                                    dist):
+        # the fixture with its covariate columns stored as x2, x1, x3
+        reordered = ei.Dataset(cells=dataset.cells[:, [1, 0, *range(2, 7)]],
+                               covariate_names=("x2", "x1", "x3"))
+        spec = ei.parse_formula(FULL_MODEL, reordered.variable_names)
+        f = ei.fit(*ei.expand_dataset(reordered, spec))
+        dist_r = ei.covariate_distribution(reordered)
+        config = ei.SimulationConfig(n_draws=10, seed=3)
+        expected = ei.measure_set(fit_full.coefficients, spec_full, dist).as_dict()
+        for got in (ei.measure_set(f.coefficients, spec, dist_r),
+                    ei.simulate(f, spec, dist_r, config).point):
+            assert got.as_dict() == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_batch_clamp_count_matches_scalar_flags(self, fit_full, spec_full, dist):
         B = np.tile(fit_full.coefficients, (5, 1))
@@ -306,32 +320,41 @@ class TestBlockedBatch:
     @pytest.mark.parametrize("rows", [1, 3, 4, 5, 8, 12])
     def test_block_size_does_not_change_results(self, rows, fit_full, spec_full, dist,
                                                 monkeypatch):
-        B = self.draws(fit_full, 47)
-        whole, whole_clamped = self.batch(B, spec_full, dist, monkeypatch, len(B))
-        values, n_clamped = self.batch(B, spec_full, dist, monkeypatch, rows)
-        assert n_clamped == whole_clamped == 1
-        for mid in ei.MEASURE_IDS:
-            np.testing.assert_array_equal(values[mid], whole[mid])
+        # 50 and 57 draws leave a last block of two rows and of one row
+        for n in (47, 50, 57):
+            B = self.draws(fit_full, n)
+            # a budget of len(B) + 3 rows makes one block of every row
+            whole, whole_clamped = self.batch(B, spec_full, dist, monkeypatch, len(B) + 3)
+            values, n_clamped = self.batch(B, spec_full, dist, monkeypatch, rows)
+            assert n_clamped == whole_clamped == 1
+            for mid in ei.MEASURE_IDS:
+                np.testing.assert_array_equal(values[mid], whole[mid], err_msg=f"n={n}")
 
-    @pytest.mark.parametrize("n", [47, 48, 103])
+    @pytest.mark.parametrize("n", [47, 48, 50, 57, 103])
     def test_matches_single_product(self, n, fit_full, spec_full, dist, monkeypatch):
-        # blocked values equal those of one unpadded product over all rows,
-        # as before evaluation was blocked
+        # blocked values equal those of one product over all rows, padded with
+        # zero rows to a multiple of four as every block is; an unpadded
+        # product sums its last n % 4 rows in another order, and agrees on
+        # the rest
         from epinteract.measures import _measures, _pattern_design
 
         B = self.draws(fit_full, n)
-        T, w = _pattern_design(spec_full, dist, None)
-        expected, _, _, clamped = _measures(B @ T.T, w)
+        T, w = _pattern_design(spec_full, dist)
+        padded = np.vstack([B, np.zeros((-n % 4, 8))])
+        expected, _, _, _, clamped = _measures(padded @ T.T, w)
+        unpadded = _measures(B @ T.T, w)[0]
         values, n_clamped = self.batch(B, spec_full, dist, monkeypatch, 3)
         assert n_clamped == int(clamped.sum()) == 1
-        for mid, v in zip(ei.MEASURE_IDS, expected):
-            np.testing.assert_array_equal(values[mid], v)
+        for mid, v, u in zip(ei.MEASURE_IDS, expected, unpadded):
+            np.testing.assert_array_equal(values[mid], v[:n])
+            np.testing.assert_array_equal(values[mid][:n - n % 4], u[:n - n % 4])
 
     @pytest.mark.parametrize("rows, step", [(1, 4), (3, 4), (7, 4), (8, 8), (13, 12)])
     def test_blocks_hold_a_multiple_of_four_rows(self, rows, step, fit_full, spec_full,
                                                  dist, monkeypatch):
         # a budget below four rows still gives four-row blocks, and only the
-        # last block can be short, so at most one block is padded
+        # last block can be short; it reaches the kernel padded to a multiple
+        # of four, one row more than the 47 % step rows it holds
         B = self.draws(fit_full, 47)
         kernel, sizes = ei.measures._measures, []
 
@@ -341,7 +364,7 @@ class TestBlockedBatch:
 
         monkeypatch.setattr(ei.measures, "_measures", recording)
         self.batch(B, spec_full, dist, monkeypatch, rows)
-        assert sizes == [step] * (47 // step) + [47 % step]
+        assert sizes == [step] * (47 // step) + [47 % step + 1]
 
     def test_memory_does_not_grow_with_draws(self, fit_full, spec_full, dist):
         import tracemalloc
@@ -414,7 +437,7 @@ class TestLogOddsPrecision:
             assert not ms.clamped
             for got in (ms.rcor, batch["RCOR"][i]):
                 assert got == pytest.approx(rcor_, rel=1e-13)
-            for got in (ms.rmor, batch["RMOR"][i]):
+            for got in (ms.rmor, batch["RMOR"][i], ei.rmor(ms.population_risks)):
                 assert got == pytest.approx(rmor_, rel=1e-13)
 
     def test_rcor_is_exp_beta3_near_one(self, fit_reduced, spec_reduced, dist):

@@ -127,7 +127,7 @@ class TestExpandDataset:
         f = ei.fit(X, s, n)
         assert f.converged
         dist = ei.covariate_distribution(data)
-        ms = ei.measure_set(f.coefficients, spec, dist, data.covariate_names)
+        ms = ei.measure_set(f.coefficients, spec, dist)
         fitted = 1.0 / (1.0 + np.exp(-(X @ f.coefficients)))
         for i, z in enumerate(cells):
             assert ms.population_risks[z] == pytest.approx(fitted[i], rel=1e-12)
