@@ -5,25 +5,26 @@ the covariate distribution; marginal measures (RMOR, RMRR, DMRD) are formed
 from covariate-standardized population risks. All are functions of the
 conditional risk pr(y=1 | z, x) and the covariate weights only.
 
-Every path evaluates one kernel on the linear predictors (log-odds) eta:
-the per-stratum odds-ratio ratio is exp(eta11 - eta01 - eta10 + eta00), so
-no odds array is formed, and with e = exp(-eta) the risks are p = 1/(1 + e)
-and 1 - p = e*p, which keeps full precision as risks approach 1. A point
-estimate and a block of simulation draws reach the kernel through the same
-padded blocks, so a value does not depend on how rows are blocked. Extreme
-draws are clamped in log-odds, at +-LOGIT_CLAMP. The last bits of a value
-depend on numpy's SIMD dispatch of exp, as they depend on the BLAS kernel
-behind the products.
+Formulas hold no term beyond a pairwise product, so the linear predictor
+(log-odds) is eta(z, x) = eta00(x) + z1*d1(x) + z2*d2(x) + z1*z2*beta12:
+three products of one design at z = (1, 1), and RCOR = exp(beta12)*sum(w).
+One kernel takes -eta; with e = exp(-eta) the risks are p = 1/(1 + e) and
+1 - p = e*p, which keeps full precision as risks approach 1. Point
+estimates and draws share the same padded blocks, so no value depends on
+the blocking. A row with a predictor beyond +-LOGIT_CLAMP is clipped there
+and its RCOR, like a risk table's, is the weighted per-stratum contrast.
+The last bits of a value depend on numpy's SIMD exp and the BLAS kernel.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import CovariateDistribution
-from .model import ModelSpec, design_matrix
+from .model import EXPOSURE_NAMES, ModelSpec, design_matrix
 
 __all__ = [
     "RiskTable",
@@ -113,71 +114,103 @@ class MeasureSet:
 
 
 def _pattern_design(spec: ModelSpec, dist: CovariateDistribution):
-    """Design rows at every (z, x), (4*S, k) in EXPOSURE_LEVELS x pattern
-    order, plus the pattern weights (S,)."""
+    """The design at z = (1, 1) for every covariate pattern, split into the
+    terms with no exposure, with z1 only and with z2 only: three (columns, D)
+    pairs, D of shape (len(columns), S); then the column of z1:z2 (None
+    without that term) and the pattern weights (S,)."""
     patterns = dist.patterns
-    T = design_matrix(np.repeat(EXPOSURE_LEVELS, len(patterns), axis=0),
-                      np.tile(patterns, (4, 1)), spec, dist.covariate_names)
+    T = design_matrix(np.ones((len(patterns), 2)), patterns, spec, dist.covariate_names)
+    exposures = [tuple(v for v in t.variables if v in EXPOSURE_NAMES) for t in spec.terms]
+    groups = [[j for j, e in enumerate(exposures) if e == g] for g in ((), ("z1",), ("z2",))]
+    j12 = exposures.index(EXPOSURE_NAMES) if EXPOSURE_NAMES in exposures else None
     w = np.array([dist.weights[x] for x in patterns])
-    return T, w
+    return [(g, T[:, g].T) for g in groups], j12, w
+
+
+def _predictors(block, design, out=None):
+    """-eta of the coefficient rows `block` (m, k), shape (4, m, S) in
+    EXPOSURE_LEVELS x row x pattern order and written to `out` when given,
+    and each row's RCOR, exp(beta12) * sum(w) (m,)."""
+    [(c0, D0), (c1, D1), (c2, D2)], j12, w = design
+    nb = -block  # rounding is symmetric, so products with -beta give -eta exactly
+    Q = np.empty((4, len(block), len(w))) if out is None else out
+    np.matmul(nb[:, c0], D0, out=Q[0])
+    d1, d2 = nb[:, c1] @ D1, nb[:, c2] @ D2
+    np.add(Q[0], d2, out=Q[1])
+    np.add(Q[0], d1, out=Q[2])
+    beta12 = np.zeros(len(block)) if j12 is None else block[:, j12]
+    d1 += d2  # grouped so that swapping z1 and z2 gives the same bits
+    d1 -= beta12[:, None]
+    np.add(Q[0], d1, out=Q[3])
+    return Q, np.exp(beta12) * w.sum()
+
+
+def _contrast(Q, w):
+    """Weighted sum of the per-stratum odds-ratio ratios
+    exp(eta11 - eta01 - eta10 + eta00), from Q = -eta (4, m, S)."""
+    # grouped so that swapping z1 and z2 gives the same bits
+    return np.exp((Q[1] + Q[2]) - (Q[3] + Q[0])) @ w
 
 
 def _marginal(pr, qr):
     """RMOR, RMRR and DMRD from the population risks pr and their
-    complements qr, each of shape (..., 4) in EXPOSURE_LEVELS order."""
+    complements qr, each of shape (4, ...) in EXPOSURE_LEVELS order."""
     mo = pr / qr
     return (
-        (mo[..., 3] / mo[..., 1]) / (mo[..., 2] / mo[..., 0]),
-        (pr[..., 3] / pr[..., 1]) / (pr[..., 2] / pr[..., 0]),
-        pr[..., 3] - pr[..., 1] - pr[..., 2] + pr[..., 0],
+        (mo[3] / mo[1]) / (mo[2] / mo[0]),
+        (pr[3] / pr[1]) / (pr[2] / pr[0]),
+        pr[3] - pr[1] - pr[2] + pr[0],
     )
 
 
-def _measures(eta, w):
-    """The kernel: all five measures from a block of linear predictors
-    eta = B @ T.T, shape (m, 4*S) in EXPOSURE_LEVELS x pattern order, and
-    the weights w (S,). eta is overwritten.
-
-    Returns the measures (5, m) in MEASURE_IDS order, the population risks
-    and their complements (m, 4) each, the risks (m, 4, S) and a per-row flag
-    marking rows where any linear predictor was clipped to +-LOGIT_CLAMP.
-    """
-    clamped = (eta.min(axis=1) < -LOGIT_CLAMP) | (eta.max(axis=1) > LOGIT_CLAMP)
-    np.clip(eta, -LOGIT_CLAMP, LOGIT_CLAMP, out=eta)
-    E = eta.reshape(len(eta), 4, -1)
-    # grouped so that swapping z1 and z2 gives the same bits
-    rcor_ = np.exp((E[:, 3] + E[:, 0]) - (E[:, 1] + E[:, 2])) @ w
-    Q = np.exp(np.negative(E, out=E), out=E)  # e = exp(-eta), in place
+def _measures(Q, w, rcor_=None):
+    """The kernel: all five measures from a block Q = -eta (4, m, S), which
+    is overwritten, the weights w (S,) and each row's RCOR (m,), or None to
+    take the contrast. A row with a predictor beyond +-LOGIT_CLAMP is clipped
+    and takes the contrast of its clipped predictors. Returns the measures
+    (5, m) in MEASURE_IDS order, the population risks and their complements
+    (4, m) each, the risks (4, m, S) and the per-row clamp flags (m,)."""
+    clamped = np.zeros(Q.shape[1], dtype=bool)
+    if Q.min() < -LOGIT_CLAMP or Q.max() > LOGIT_CLAMP:  # one scan per block
+        clamped = (Q.min(axis=(0, 2)) < -LOGIT_CLAMP) | (Q.max(axis=(0, 2)) > LOGIT_CLAMP)
+        np.clip(Q, -LOGIT_CLAMP, LOGIT_CLAMP, out=Q)
+    if rcor_ is None:
+        rcor_ = _contrast(Q, w)
+    elif clamped.any():
+        rcor_ = np.where(clamped, _contrast(Q, w), rcor_)
+    np.exp(Q, out=Q)  # e = exp(-eta), in place
     P = 1.0 + Q
     np.divide(1.0, P, out=P)  # risks 1 / (1 + e)
     Q *= P  # 1 - P, without cancellation
-    rcrr_ = ((P[:, 3] / P[:, 1]) / (P[:, 2] / P[:, 0])) @ w
+    rcrr_ = ((P[3] / P[1]) / (P[2] / P[0])) @ w
     pr, qr = P @ w, Q @ w  # population risks and their complements
     values = np.stack([rcor_, rcrr_, *_marginal(pr, qr)])
     return values, pr, qr, P, clamped
 
 
 def _blocks(B, design):
-    """Run the kernel over the rows of B (n, k), with `design` the (T, w)
-    pair of `_pattern_design`, in blocks of a multiple of four rows (about
+    """Run the kernel over the rows of B (n, k), with `design` from
+    `_pattern_design`, in blocks of a multiple of four rows (about
     BLOCK_ELEMENTS // (4 * S) rows). Yields, per block, its first row
     `start` and the kernel's outputs (values, pr, qr, P, clamped) for the
     block's rows of B."""
-    T, w = design
-    step = 4 * max(1, BLOCK_ELEMENTS // (4 * len(T)))
+    w = design[-1]
+    step = 4 * max(1, BLOCK_ELEMENTS // (16 * len(w)))
+    buffer = np.empty((4, min(step, len(B) + -len(B) % 4), len(w)))  # reused by every block
     for start in range(0, len(B), step):
         block = B[start:start + step]
         m = len(block)
         # A short block, a single row included, is padded with zero rows to
-        # a multiple of four before the product and the kernel, so that every
-        # row takes the same BLAS paths however the rows are blocked: numpy
-        # hands a one-row product to gemv instead of gemm, and the kernel's
-        # weighted sums go through OpenBLAS's gemv, which sums the rows after
-        # the last group of four in another order.
+        # a multiple of four before the products and the kernel, so that
+        # every row takes the same BLAS paths however the rows are blocked:
+        # numpy hands a one-row product to gemv instead of gemm, and the
+        # kernel's weighted sums go through OpenBLAS's gemv, which sums the
+        # rows after the last group of four in another order.
         if m % 4:
             block = np.vstack([block, np.zeros((4 - m % 4, B.shape[1]))])
-        values, pr, qr, P, clamped = _measures(block @ T.T, w)
-        yield start, values[:, :m], pr[:m], qr[:m], P[:m], clamped[:m]
+        Q, rcor_ = _predictors(block, design, buffer[:, :len(block)])
+        values, pr, qr, P, clamped = _measures(Q, w, rcor_)
+        yield start, values[:, :m], pr[:, :m], qr[:, :m], P[:, :m], clamped[:m]
 
 
 def risk_table(coefficients, spec: ModelSpec, dist: CovariateDistribution) -> RiskTable:
@@ -186,7 +219,7 @@ def risk_table(coefficients, spec: ModelSpec, dist: CovariateDistribution) -> Ri
     [(_, _, _, _, P, clamped)] = _blocks(B, _pattern_design(spec, dist))
     values = {
         (z, x): p
-        for z, row in zip(EXPOSURE_LEVELS, P[0].tolist())
+        for z, row in zip(EXPOSURE_LEVELS, P[:, 0].tolist())
         for x, p in zip(dist.patterns, row)
     }
     return RiskTable(values=values, clamped=bool(clamped[0]))
@@ -194,14 +227,20 @@ def risk_table(coefficients, spec: ModelSpec, dist: CovariateDistribution) -> Ri
 
 def _table_measures(table: RiskTable, dist: CovariateDistribution):
     """The five measures (5,), population risks (4,) and their complements
-    (4,) of a risk table, through the kernel on the log-odds of its risks."""
+    (4,) of a risk table of risks in [0, 1], through the kernel on their
+    log-odds; a table the kernel clamps gets a warning."""
     patterns = dist.patterns
-    P = np.array(
-        [[table.risk(z, x) for x in patterns] for z in EXPOSURE_LEVELS]
-    )
+    P = np.array([[table.risk(z, x) for x in patterns] for z in EXPOSURE_LEVELS])
+    if not ((P >= 0.0) & (P <= 1.0)).all():
+        raise ValueError("risk table holds a risk that is not a number in [0, 1]")
     w = np.array([dist.weights[x] for x in patterns])
-    values, pr, qr, _, _ = _measures(np.log(P / (1.0 - P)).reshape(1, -1), w)
-    return values[:, 0], pr[0], qr[0]
+    with np.errstate(divide="ignore"):
+        Q = np.log((1.0 - P) / P)[:, None]  # -eta; risks of 0 and 1 give -+inf
+    values, pr, qr, _, clamped = _measures(Q, w)
+    if clamped[0]:
+        warnings.warn(f"risk table clamped: log-odds clipped to +-{LOGIT_CLAMP:.4g}",
+                      RuntimeWarning, stacklevel=3)
+    return values[:, 0], pr[:, 0], qr[:, 0]
 
 
 def rcor(table: RiskTable, dist: CovariateDistribution) -> float:
@@ -252,13 +291,13 @@ def dmrd(pr) -> float:
 def measure_set(coefficients, spec: ModelSpec, dist: CovariateDistribution,
                 design=None) -> MeasureSet:
     """Evaluate all five measures from one parameter vector, with the same
-    bits as `batch_measures` on a matrix holding it as a row. `design` is the
-    (T, w) pair of `_pattern_design`, when the caller has built it."""
+    bits as `batch_measures` on a matrix holding it as a row. `design` is
+    the result of `_pattern_design`, when the caller has built it."""
     B = np.asarray(coefficients, dtype=float)[None, :]
     [(_, values, pr, qr, _, clamped)] = _blocks(B, design or _pattern_design(spec, dist))
     return MeasureSet(
         *values[:, 0].tolist(),
-        population_risks=PopulationRisks(pr[0].tolist(), qr[0].tolist()),
+        population_risks=PopulationRisks(pr[:, 0].tolist(), qr[:, 0].tolist()),
         clamped=bool(clamped[0]),
     )
 

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import epinteract as ei
 from epinteract.data import CovariateDistribution
-from epinteract.measures import EXPOSURE_LEVELS, RiskTable
+from epinteract.measures import (EXPOSURE_LEVELS, LOGIT_CLAMP, RiskTable, _contrast,
+                                 _pattern_design, _predictors)
+from epinteract.model import design_matrix
 
-from conftest import FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, random_risk_table
+from conftest import (FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL,
+                      random_risk_table)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +139,36 @@ class TestSingleStratumArithmetic:
         assert ei.rmor(pr) == pytest.approx(1.0)
         assert ei.rmrr(pr) == pytest.approx(1.0)
         assert ei.dmrd(pr) == pytest.approx(0.0)
+
+
+class TestTableInput:
+    TABLE_FUNCTIONS = (ei.rcor, ei.rcrr, ei.dcrd, ei.population_risk)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan, math.inf])
+    def test_risk_outside_unit_interval_rejected(self, bad):
+        table, dist = single_stratum_table(bad, 0.4, 0.5, 0.5)
+        for function in self.TABLE_FUNCTIONS:
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                function(table, dist)
+
+    @pytest.mark.parametrize("risks", [(1.0, 0.4, 0.5, 0.5), (0.8, 0.0, 0.5, 0.5)])
+    def test_risks_of_zero_and_one_clamp_with_one_warning(self, risks):
+        table, dist = single_stratum_table(*risks)
+        for function in self.TABLE_FUNCTIONS:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = function(table, dist)
+            assert [w.category for w in caught] == [RuntimeWarning]
+            assert "clamp" in str(caught[0].message)
+            assert caught[0].filename == __file__
+            values = result.values() if isinstance(result, dict) else [result]
+            assert all(map(math.isfinite, values))
+
+    def test_inner_risks_do_not_warn(self):
+        table, dist = single_stratum_table(0.8, 0.4, 0.5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ei.rcor(table, dist) == pytest.approx(6.0, abs=1e-12)
 
 
 class TestPopulationRisk:
@@ -300,6 +336,137 @@ class TestOracleEquivalence:
         assert ei.dcrd(table, dist) == pytest.approx(oracle_dcrd(table, dist), abs=1e-14)
 
 
+def _gen_wide():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen_wide.py"
+    spec = importlib.util.spec_from_file_location("gen_wide", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFactoredPredictor:
+    """Models hold no term beyond a pairwise product, so the kernel builds the
+    four exposure levels from three products of one design at z = (1, 1)."""
+
+    FORMULAS = {
+        "model25": FULL_MODEL,
+        "model26": REDUCED_MODEL,
+        "no_z1z2": "y ~ z1 + z2 + x1 + x2 + x3 + z1:x2 + z2:x3",
+        "z2_only": "y ~ z2 + x1 + x2 + x3",
+    }
+
+    @staticmethod
+    def wide_case():
+        # gen_wide's 22-term formula, with z1:x and z2:x products, on the
+        # cells of 24 of its 4096 covariate patterns
+        gen_wide = _gen_wide()
+        cells = gen_wide.generate(3).reshape(gen_wide.N_PATTERNS, 4, -1)
+        rows = np.random.default_rng(3).choice(gen_wide.N_PATTERNS, 24, replace=False)
+        data = ei.Dataset(cells=cells[np.sort(rows)].reshape(-1, cells.shape[-1]),
+                          covariate_names=gen_wide.COVARIATE_NAMES)
+        return gen_wide.FORMULA, data
+
+    def cases(self, dataset):
+        yield from ((f, dataset) for f in self.FORMULAS.values())
+        yield self.wide_case()
+
+    @staticmethod
+    def swap(formula, data):
+        """z1 and z2 exchanged in the formula, keeping the term order, and in
+        the data."""
+        k = len(data.covariate_names)
+        cells = data.cells[:, [*range(k), k + 1, k, k + 2, k + 3]]
+        formula = formula.replace("z1", "_").replace("z2", "z1").replace("_", "z2")
+        return formula, ei.Dataset(cells=cells, covariate_names=data.covariate_names)
+
+    @staticmethod
+    def eta(formula, data, beta):
+        spec = ei.parse_formula(formula, data.variable_names)
+        dist = ei.covariate_distribution(data)
+        Q, rcor_ = _predictors(beta[None], _pattern_design(spec, dist))
+        return -Q[:, 0], rcor_[0], spec, dist
+
+    def test_levels_match_the_full_design(self, dataset):
+        rng = np.random.default_rng(11)
+        for formula, data in self.cases(dataset):
+            beta = rng.normal(0, 1.0, len(ei.parse_formula(formula).terms))
+            eta, _, spec, dist = self.eta(formula, data, beta)
+            S = len(dist.patterns)
+            D = design_matrix(np.repeat(EXPOSURE_LEVELS, S, axis=0),
+                              np.tile(dist.patterns, (4, 1)), spec, dist.covariate_names)
+            expected = (D @ beta).reshape(4, S)
+            # a few ulps of the largest partial sum
+            scale = (np.abs(D) @ np.abs(beta)).reshape(4, S)
+            assert np.all(np.abs(eta - expected) <= 4 * np.finfo(float).eps * scale), formula
+
+    def test_swapping_exposures_gives_the_same_bits(self, dataset):
+        rng = np.random.default_rng(12)
+        for formula, data in self.cases(dataset):
+            beta = rng.normal(0, 1.0, len(ei.parse_formula(formula).terms))
+            eta, rcor_, _, _ = self.eta(formula, data, beta)
+            # the swapped formula keeps the term order, so beta keeps its meaning
+            swapped, rcor_s, _, _ = self.eta(*self.swap(formula, data), beta)
+            np.testing.assert_array_equal(swapped[[0, 2, 1, 3]], eta, err_msg=formula)
+            assert rcor_s == rcor_
+
+    def test_rcor_is_exp_beta12_on_unclamped_rows(self, fit_full, spec_full, dist):
+        rng = np.random.default_rng(13)
+        B = fit_full.coefficients + rng.normal(0, 0.5, size=(30, 8))
+        values, n_clamped = ei.measures.batch_measures(B, spec_full, dist)
+        w = _pattern_design(spec_full, dist)[-1]
+        assert n_clamped == 0
+        np.testing.assert_array_equal(values["RCOR"], np.exp(B[:, 3]) * w.sum())
+
+    def test_rcor_without_z1z2_is_the_weight_sum(self, dataset):
+        formula = self.FORMULAS["no_z1z2"]
+        spec = ei.parse_formula(formula, dataset.variable_names)
+        dist = ei.covariate_distribution(dataset)
+        beta = np.random.default_rng(14).normal(0, 1.0, len(spec.terms))
+        ms = ei.measure_set(beta, spec, dist)
+        assert ms.rcor == _pattern_design(spec, dist)[-1].sum()
+        assert ms.rcor == pytest.approx(1.0, abs=1e-15)
+
+    def test_clamped_row_keeps_the_clipped_contrast(self, fit_full, spec_full, dist):
+        coef = fit_full.coefficients.copy()
+        coef[0] = 1000.0
+        design = _pattern_design(spec_full, dist)
+        # the row as the kernel sees it: padded with zero rows to four
+        Q, rcor_ = _predictors(np.vstack([coef, np.zeros((3, 8))]), design)
+        np.clip(Q, -LOGIT_CLAMP, LOGIT_CLAMP, out=Q)
+        expected = _contrast(Q, design[-1])[0]
+        ms = ei.measure_set(coef, spec_full, dist)
+        assert ms.clamped
+        assert ms.rcor == expected
+        assert ms.rcor != pytest.approx(rcor_[0])
+        batch, n_clamped = ei.measures.batch_measures(
+            np.vstack([fit_full.coefficients, coef]), spec_full, dist)
+        assert n_clamped == 1
+        assert batch["RCOR"][1] == expected
+
+    def test_simulated_rcor_endpoints_match_the_closed_form(self, fit_full, spec_full,
+                                                           dist):
+        # each draw's RCOR is sum(w) * exp(beta12), and beta12 is drawn from
+        # N(beta12_hat, se12^2), so the q-quantile of the RCOR draws estimates
+        # sum(w) * exp(beta12_hat + z_q * se12); the q-quantile of N draws
+        # lies within its binomial(N, q) rank band (3.29 sd, two-sided 0.1%)
+        from scipy.special import ndtri
+
+        n = 100_000
+        config = ei.SimulationConfig(n_draws=n, seed=20080527)
+        sim = ei.simulate(fit_full, spec_full, dist, config)
+        assert sim.n_clamped_draws == 0
+        draws = sim["RCOR"].draws
+        wsum = _pattern_design(spec_full, dist)[-1].sum()
+        beta12, se12 = fit_full.coefficients[3], math.sqrt(config.covariance(fit_full)[3, 3])
+        for level, endpoints in sim["RCOR"].endpoints.items():
+            for q, got in zip(((1 - level) / 2, (1 + level) / 2), endpoints):
+                exact = wsum * math.exp(beta12 + ndtri(q) * se12)
+                band = 3.29 * math.sqrt(n * q * (1 - q))
+                lo, hi = draws[math.floor(q * (n - 1) - band)], draws[math.ceil(q * (n - 1) + band)]
+                assert lo <= exact <= hi, (level, q)
+                assert lo <= got <= hi, (level, q)
+
+
 class TestBlockedBatch:
     """batch_measures evaluates draws block by block; the block size must not
     show in any value or in the clamp count."""
@@ -336,13 +503,18 @@ class TestBlockedBatch:
         # zero rows to a multiple of four as every block is; an unpadded
         # product sums its last n % 4 rows in another order, and agrees on
         # the rest
-        from epinteract.measures import _measures, _pattern_design
+        from epinteract.measures import _measures, _pattern_design, _predictors
 
         B = self.draws(fit_full, n)
-        T, w = _pattern_design(spec_full, dist)
+        design = _pattern_design(spec_full, dist)
+
+        def kernel(rows):
+            Q, rcor_ = _predictors(rows, design)
+            return _measures(Q, design[-1], rcor_)
+
         padded = np.vstack([B, np.zeros((-n % 4, 8))])
-        expected, _, _, _, clamped = _measures(padded @ T.T, w)
-        unpadded = _measures(B @ T.T, w)[0]
+        expected, _, _, _, clamped = kernel(padded)
+        unpadded = kernel(B)[0]
         values, n_clamped = self.batch(B, spec_full, dist, monkeypatch, 3)
         assert n_clamped == int(clamped.sum()) == 1
         for mid, v, u in zip(ei.MEASURE_IDS, expected, unpadded):
@@ -358,9 +530,9 @@ class TestBlockedBatch:
         B = self.draws(fit_full, 47)
         kernel, sizes = ei.measures._measures, []
 
-        def recording(eta, w):
-            sizes.append(len(eta))
-            return kernel(eta, w)
+        def recording(eta, w, rcor_):
+            sizes.append(eta.shape[1])
+            return kernel(eta, w, rcor_)
 
         monkeypatch.setattr(ei.measures, "_measures", recording)
         self.batch(B, spec_full, dist, monkeypatch, rows)
