@@ -11,18 +11,20 @@ import os
 import shutil
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 from .data import Dataset, InputError, covariate_distribution, load_fixture, FIXTURES
 from .fitting import SingularDesignError, fit
 from .measures import MEASURE_IDS, RISK_CLAMP
 from .model import SpecificationError, expand_dataset, parse_formula
-from .simci import CHUNK, SimulationConfig, histogram, simulate
+from .simci import (CHUNK, COVARIANCE_CHOICES, NotPositiveSemiDefiniteError,
+                    SimulationConfig, histogram, simulate)
 
 EXIT_OK = 0
 EXIT_INPUT = 2       # CSV / formula / argument problems
 EXIT_SINGULAR = 3    # rank-deficient design
-EXIT_NO_CONVERGE = 4
+EXIT_NO_CONVERGE = 4  # no usable fit: no convergence, or an unfactorizable covariance
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--covariance",
-        choices=("robust", "model"),
+        choices=COVARIANCE_CHOICES,
         default="robust",
         help="covariance matrix used for parameter draws",
     )
@@ -76,6 +78,12 @@ def _fmt_matrix(names, matrix):
     return "\n".join(lines)
 
 
+def _level_label(level: float, percent=False) -> str:
+    """A confidence level written exactly, "0.95" or as a percentage "95%"."""
+    exact = repr(level)
+    return f"{Decimal(exact).scaleb(2).normalize():f}%" if percent else exact
+
+
 def _render_report(labels, result_fit, sim, levels):
     lines = []
     lines.append("Coefficients (maximum likelihood)")
@@ -89,7 +97,8 @@ def _render_report(labels, result_fit, sim, levels):
     lines.append("")
     header = f"{'Measure':<14}{'Estimate':>10}"
     for level in levels:
-        header += f"{f'{level:.0%} lower':>12}{f'{level:.0%} upper':>12}"
+        pct = _level_label(level, percent=True)
+        header += f"{f' {pct} lower':>12}{f' {pct} upper':>12}"
     lines.append(header)
     for mid in MEASURE_IDS:
         est = sim[mid]
@@ -127,12 +136,8 @@ def run(args) -> int:
     if args.bins < 1:
         return _error(f"--bins must be >= 1, got {args.bins}")
     try:
-        config = SimulationConfig(
-            n_draws=args.draws,
-            seed=args.seed,
-            levels=levels,
-            covariance_choice="robust" if args.covariance == "robust" else "model_based",
-        )
+        config = SimulationConfig(n_draws=args.draws, seed=args.seed, levels=levels,
+                                  covariance_choice=args.covariance)
     except ValueError as exc:
         return _error(f"simulation config: {exc}")
     try:
@@ -149,7 +154,7 @@ def run(args) -> int:
         return _error(f"input stage: {exc}")
 
     try:
-        spec = parse_formula(args.formula, header=data.variable_names)
+        spec = parse_formula(args.formula)
         X, s, n = expand_dataset(data, spec)
     except SpecificationError as exc:
         return _error(f"formula stage: {exc}")
@@ -167,6 +172,8 @@ def run(args) -> int:
         sim = simulate(fitted, spec, dist, config)
     except MemoryError as exc:
         return _error(f"simulation stage: {exc}")
+    except NotPositiveSemiDefiniteError as exc:
+        return _error(f"simulation stage: {exc}", EXIT_NO_CONVERGE)
     if not config.covariance(fitted).any():
         print(f"warning: the {args.covariance} covariance is all zeros, so every "
               "interval equals its point estimate", file=sys.stderr)
@@ -226,7 +233,8 @@ def _write_files(stage, formats, args, levels, labels, fitted, sim, report):
             _write_rows(
                 fh,
                 ["measure", "estimate"]
-                + [f"{side}_{level:g}" for level in levels for side in ("lower", "upper")],
+                + [f"{side}_{_level_label(level)}" for level in levels
+                   for side in ("lower", "upper")],
                 [[mid, repr(float(sim[mid].point))]
                  + [repr(float(v)) for level in levels for v in sim[mid].endpoints[level]]
                  for mid in MEASURE_IDS],
@@ -274,7 +282,8 @@ def summary_dict(sim, fitted, labels, args, levels) -> dict:
     measures = {
         mid: {
             "point": sim[mid].point,
-            "intervals": {f"{level:g}": list(sim[mid].endpoints[level]) for level in levels},
+            "intervals": {_level_label(level): list(sim[mid].endpoints[level])
+                          for level in levels},
         }
         for mid in MEASURE_IDS
     }

@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 
+# the CSV header ends with the two exposures and the two counts
+EXPOSURE_NAMES = ("z1", "z2")
+COUNT_NAMES = ("successes", "totals")
+
+
 class InputError(ValueError):
     """Malformed or inconsistent input data."""
 
@@ -52,33 +57,19 @@ class StratumRecord:
                 f"successes must lie in [0, totals], got {self.successes}/{self.totals}"
             )
 
-    @property
-    def key(self) -> tuple[tuple[int, ...], tuple[int, int]]:
-        return (self.covariates, self.exposures)
 
-
-def _invalid_row(cells, k):
-    """(index, reason) for the first row of `cells` that StratumRecord would
-    reject, with its reason; None when every row is a valid cell."""
-    x, z, s, n = cells[:, :k], cells[:, k:k + 2], cells[:, -2], cells[:, -1]
-    failed = np.stack([
-        ((x != 0) & (x != 1)).any(axis=1),
-        ((z != 0) & (z != 1)).any(axis=1),
-        n < 1,
-        (s < 0) | (s > n),
-    ])
-    bad = np.flatnonzero(failed.any(axis=0))
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    row = cells[i].tolist()
-    reasons = (
-        f"covariates must be binary, got {tuple(row[:k])}",
-        f"exposures must be a binary pair, got {tuple(row[k:k + 2])}",
-        f"totals must be >= 1, got {row[-1]}",
-        f"successes must lie in [0, totals], got {row[-2]}/{row[-1]}",
-    )
-    return i, reasons[int(np.argmax(failed[:, i]))]
+def _check_cells(cells, k, linenos=None):
+    """Raise StratumRecord's error for the first row of `cells` that it
+    rejects, after "line N: " when `linenos` holds the rows' line numbers."""
+    bits, s, n = cells[:, :k + 2], cells[:, -2], cells[:, -1]
+    bad = np.flatnonzero(((bits != 0) & (bits != 1)).any(axis=1) | (n < 1) | (s < 0) | (s > n))
+    if bad.size:
+        row = cells[bad[0]].tolist()
+        try:
+            StratumRecord(tuple(row[:k]), tuple(row[k:k + 2]), row[-2], row[-1])
+        except InputError as exc:
+            where = "" if linenos is None else f"line {linenos[bad[0]]}: "
+            raise InputError(f"{where}{exc}") from None
 
 
 def _first_appearance(rows):
@@ -132,9 +123,7 @@ class Dataset:
         cells = cells.astype(np.int64, copy=False)
         if not len(cells):
             raise InputError("dataset must contain at least one record")
-        bad = _invalid_row(cells, k)
-        if bad is not None:
-            raise InputError(bad[1])
+        _check_cells(cells, k)
         # so that no 64-bit sum of totals can wrap
         if sum(cells[:, -1].tolist()) >= 2**63:
             raise InputError("totals must add up to less than 2**63")
@@ -170,22 +159,30 @@ class Dataset:
 
     @property
     def variable_names(self) -> tuple[str, ...]:
-        return self.covariate_names + ("z1", "z2")
+        return self.covariate_names + EXPOSURE_NAMES
 
     @classmethod
     def from_csv(cls, source) -> "Dataset":
-        """Read a dataset from a CSV path or text file object.
+        """Read a dataset from a CSV path, which must be UTF-8, or a text
+        file object; a leading byte-order mark is dropped.
 
         Expected header: x-covariate columns, then z1, z2, successes, totals.
         """
         if hasattr(source, "read"):
             return cls._parse(source)
-        with open(source, newline="", encoding="utf-8") as fh:
-            return cls._parse(fh)
+        with open(source, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise InputError(f"line {line}: not UTF-8 text ({exc.reason})") from None
+        return cls._parse(io.StringIO(text, newline=""))
 
     @classmethod
     def _parse(cls, fh) -> "Dataset":
         lines = list(fh)
+        lines[:1] = [line.removeprefix("\ufeff") for line in lines[:1]]  # a byte-order mark
         reader = csv.reader(lines)
         try:
             header = next(reader)
@@ -194,11 +191,9 @@ class Dataset:
         except csv.Error as exc:
             raise InputError(f"line 1: {exc}") from None
         header = [h.strip() for h in header]
-        tail = ["z1", "z2", "successes", "totals"]
+        tail = [*EXPOSURE_NAMES, *COUNT_NAMES]
         if header[-4:] != tail:
-            raise InputError(
-                f"CSV header must end with {tail}, got {header}"
-            )
+            raise InputError(f"CSV header must end with {tail}, got {header}")
         cov_names = tuple(header[:-4])
         cells = _plain_cells("".join(lines[reader.line_num:]), len(header))
         if cells is not None:
@@ -207,9 +202,7 @@ class Dataset:
             cells, linenos, error = _csv_cells(reader, len(header))
         # a row-by-row reader stops at the first bad row, whatever is wrong
         # with it; rows after an unparsable one are never read
-        bad = _invalid_row(cells, len(cov_names))
-        if bad is not None:
-            raise InputError(f"line {linenos[bad[0]]}: {bad[1]}")
+        _check_cells(cells, len(cov_names), linenos)
         if error is not None:
             raise error
         return cls(cells=cells, covariate_names=cov_names)
@@ -218,7 +211,7 @@ class Dataset:
         """Write the dataset back out in the ingestion format."""
         def _write(fh):
             w = csv.writer(fh, lineterminator="\n")
-            w.writerow(list(self.covariate_names) + ["z1", "z2", "successes", "totals"])
+            w.writerow(self.covariate_names + EXPOSURE_NAMES + COUNT_NAMES)
             w.writerows(self.cells.tolist())
 
         if hasattr(target, "write"):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CovariateDistribution
-from .model import EXPOSURE_NAMES, ModelSpec, design_matrix
+from .data import EXPOSURE_NAMES, CovariateDistribution
+from .model import ModelSpec, design_matrix
 
 __all__ = [
     "RiskTable",
@@ -121,7 +121,8 @@ def _pattern_design(spec: ModelSpec, dist: CovariateDistribution):
     patterns = dist.patterns
     T = design_matrix(np.ones((len(patterns), 2)), patterns, spec, dist.covariate_names)
     exposures = [tuple(v for v in t.variables if v in EXPOSURE_NAMES) for t in spec.terms]
-    groups = [[j for j, e in enumerate(exposures) if e == g] for g in ((), ("z1",), ("z2",))]
+    z1, z2 = EXPOSURE_NAMES
+    groups = [[j for j, e in enumerate(exposures) if e == g] for g in ((), (z1,), (z2,))]
     j12 = exposures.index(EXPOSURE_NAMES) if EXPOSURE_NAMES in exposures else None
     w = np.array([dist.weights[x] for x in patterns])
     return [(g, T[:, g].T) for g in groups], j12, w

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import EXPOSURE_NAMES, Dataset
 
 __all__ = [
     "Term",
@@ -23,8 +23,6 @@ __all__ = [
     "model_25_formula",
     "model_26_formula",
 ]
-
-EXPOSURE_NAMES = ("z1", "z2")
 
 # The two models fitted to the bundled H. pylori data: the richer one carries
 # both exposure-exposure and exposure-covariate products.
@@ -83,25 +81,23 @@ class ModelSpec:
             raise SpecificationError(
                 f"model must contain exactly one intercept term, got {n_intercept}"
             )
-        if len(set(self.terms)) != len(self.terms):
-            raise SpecificationError("duplicate terms in model specification")
-
-    @property
-    def variables(self) -> set[str]:
-        return {v for t in self.terms for v in t.variables}
+        for i, term in enumerate(self.terms):
+            if term in self.terms[:i]:
+                raise SpecificationError(f"duplicate term {term.label!r}")
 
     @property
     def term_labels(self) -> tuple[str, ...]:
         return tuple(t.label for t in self.terms)
 
-    def validate_for(self, data: Dataset) -> None:
-        known = set(data.variable_names)
-        unknown = self.variables - known
-        if unknown:
-            raise SpecificationError(
-                f"model references unknown variables {sorted(unknown)}; "
-                f"dataset provides {sorted(known)}"
-            )
+
+def _check_variables(spec: ModelSpec, known) -> None:
+    """Raise one SpecificationError naming every variable of `spec` not in `known`."""
+    unknown = {v for t in spec.terms for v in t.variables} - set(known)
+    if unknown:
+        raise SpecificationError(
+            f"model references unknown variables {sorted(unknown)}; "
+            f"data provides {sorted(known)}"
+        )
 
 
 def design_matrix(exposures, covariates, spec: ModelSpec, covariate_names=None):
@@ -116,12 +112,11 @@ def design_matrix(exposures, covariates, spec: ModelSpec, covariate_names=None):
     if covariate_names is None:
         covariate_names = tuple(f"x{i + 1}" for i in range(Xc.shape[1]))
     columns = dict(zip(covariate_names, Xc.T))
-    columns["z1"], columns["z2"] = Z.T
+    columns.update(zip(EXPOSURE_NAMES, Z.T))
+    _check_variables(spec, columns)
     D = np.ones((len(Z), len(spec.terms)))
     for j, term in enumerate(spec.terms):
         for v in term.variables:
-            if v not in columns:
-                raise SpecificationError(f"unresolvable variable {v!r}")
             D[:, j] *= columns[v]
     return D
 
@@ -134,7 +129,6 @@ def build_design_row(exposures, covariates, spec: ModelSpec, covariate_names=Non
 def expand_dataset(data: Dataset, spec: ModelSpec):
     """Build (design matrix, successes, totals) with one row per cell,
     in dataset order."""
-    spec.validate_for(data)
     cells, k = data.cells, len(data.covariate_names)
     X = design_matrix(cells[:, k:k + 2], cells[:, :k], spec, data.covariate_names)
     return X, cells[:, -2].astype(float), cells[:, -1].astype(float)
@@ -144,7 +138,7 @@ def parse_formula(text: str, header=None) -> ModelSpec:
     """Parse "y ~ z1 + z2 + z1:z2 + x1" into a ModelSpec.
 
     The intercept is implicit. ":" denotes a pairwise product. When `header`
-    is given, every variable must appear in it.
+    is given, every variable must appear in it. A term may appear only once.
     """
     if not text or not text.strip():
         raise SpecificationError("empty formula")
@@ -155,7 +149,6 @@ def parse_formula(text: str, header=None) -> ModelSpec:
     else:
         rhs = text
     terms = [Term("intercept")]
-    known = set(header) if header is not None else None
     for token in rhs.split("+"):
         token = token.strip()
         if not token:
@@ -163,20 +156,13 @@ def parse_formula(text: str, header=None) -> ModelSpec:
         parts = [p.strip() for p in token.split(":")]
         if any(not p or not p.isidentifier() for p in parts):
             raise SpecificationError(f"malformed term {token!r}")
-        if known is not None:
-            for p in parts:
-                if p not in known:
-                    raise SpecificationError(f"unknown variable {p!r} in term {token!r}")
-        if len(parts) == 1:
-            term = Term("main", (parts[0],))
-        elif len(parts) == 2:
-            term = Term("product", tuple(parts))
-        else:
+        if len(parts) > 2:
             raise SpecificationError(
                 f"term {token!r} has more than two factors; only pairwise "
                 "products are supported"
             )
-        if term in terms:
-            raise SpecificationError(f"duplicate term {token!r}")
-        terms.append(term)
-    return ModelSpec(terms=tuple(terms))
+        terms.append(Term("main" if len(parts) == 1 else "product", tuple(parts)))
+    spec = ModelSpec(terms=tuple(terms))
+    if header is not None:
+        _check_variables(spec, header)
+    return spec

@@ -37,10 +37,12 @@ __all__ = [
     "percentile_interval",
     "histogram",
     "NotPositiveSemiDefiniteError",
+    "COVARIANCE_CHOICES",
 ]
 
 JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 CHUNK = 4096  # draws generated, or CSV rows joined, per step; bounds temporaries
+COVARIANCE_CHOICES = ("robust", "model")  # FitResult.cov_robust or FitResult.cov_model
 
 
 class NotPositiveSemiDefiniteError(np.linalg.LinAlgError):
@@ -63,10 +65,8 @@ class SimulationConfig:
             raise ValueError("levels must lie strictly inside (0, 1)")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly increasing")
-        if self.covariance_choice not in ("robust", "model_based"):
-            raise ValueError(
-                "covariance_choice must be 'robust' or 'model_based'"
-            )
+        if self.covariance_choice not in COVARIANCE_CHOICES:
+            raise ValueError(f"covariance_choice must be one of {COVARIANCE_CHOICES}")
 
     def covariance(self, fit: FitResult) -> np.ndarray:
         """The fitted covariance that covariance_choice selects."""
@@ -98,7 +98,8 @@ def cholesky(sigma):
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("sigma must be square")
-    if not np.allclose(sigma, sigma.T, atol=1e-8):
+    # rounding leaves an inverse asymmetric in proportion to its largest entry
+    if not np.allclose(sigma, sigma.T, atol=1e-8 * max(1.0, np.abs(sigma).max())):
         raise ValueError("sigma must be symmetric")
     if not sigma.any():
         return np.zeros_like(sigma), 0.0  # degenerate: no parameter uncertainty

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+from importlib import resources
 
 import pytest
 
 from epinteract import cli
+from epinteract.simci import COVARIANCE_CHOICES, NotPositiveSemiDefiniteError
 
 from conftest import FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL
 
@@ -344,3 +346,96 @@ def test_csv_to_fit_builds_no_records(tmp_path, monkeypatch, dataset):
     assert built == []
     assert len(cli.load_fixture("nguyen2008").records) == 30  # still built on request
     assert len(built) == 30
+
+
+class TestSimulationStage:
+    def test_unfactorizable_covariance_exits_4(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NotPositiveSemiDefiniteError("covariance is not positive semi-definite")
+        monkeypatch.setattr(cli, "simulate", fail)
+        out = tmp_path / "out"
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                     "--draws", "10", "--out", str(out))
+        assert rc == cli.EXIT_NO_CONVERGE
+        captured = capsys.readouterr()
+        assert captured.err == ("error: simulation stage: covariance is not "
+                                "positive semi-definite\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_covariance_choices_are_the_library_choices(self):
+        [action] = [a for a in cli.build_parser()._actions if a.dest == "covariance"]
+        assert tuple(action.choices) == COVARIANCE_CHOICES
+
+    def test_model_covariance(self, tmp_path, fit_full):
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL, "--draws", "10",
+                     "--covariance", "model", "--format", "json", "--out", str(tmp_path))
+        assert rc == cli.EXIT_OK
+        bundle = json.loads((tmp_path / "report.json").read_text())
+        assert bundle["config"]["covariance"] == "model"
+        assert bundle["covariance_model"] == fit_full.cov_model.tolist()
+
+
+class TestEncoding:
+    def test_byte_order_mark_and_crlf_give_the_same_bundle(self, tmp_path, capsys):
+        fixture = resources.files("epinteract.fixtures").joinpath("nguyen2008.csv")
+        plain = fixture.read_bytes()
+        sources = {"plain": plain, "bom": b"\xef\xbb\xbf" + plain,
+                   "bom_crlf": b"\xef\xbb\xbf" + plain.replace(b"\n", b"\r\n")}
+        listings, stdouts = {}, {}
+        for name, data in sources.items():
+            (tmp_path / f"{name}.csv").write_bytes(data)
+            rc = run_cli("--input", str(tmp_path / f"{name}.csv"), "--formula", FULL_MODEL,
+                         "--draws", "50", "--seed", "1", "--out", str(tmp_path / name))
+            assert rc == cli.EXIT_OK
+            stdouts[name] = capsys.readouterr().out
+            listings[name] = _listing(tmp_path / name)
+        assert listings["plain"] and stdouts["plain"]
+        for name in ("bom", "bom_crlf"):
+            assert listings[name] == listings["plain"]
+            assert stdouts[name] == stdouts["plain"]
+
+    def test_undecodable_input_is_an_input_stage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"x1,z1,z2,successes,totals\n\xff\xfe,0,0,1,2\n")
+        rc = run_cli("--input", str(bad), "--formula", "y ~ z1",
+                     "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: input stage: line 2: not UTF-8 text (invalid start byte)\n")
+
+
+class TestLevelLabels:
+    """One exact label per confidence level in report.json, measures.csv and
+    report.txt."""
+
+    def _bundle(self, tmp_path, levels):
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL, "--draws", "50",
+                     "--seed", "1", "--levels", levels, "--out", str(tmp_path))
+        assert rc == cli.EXIT_OK
+        bundle = json.loads((tmp_path / "report.json").read_text())
+        csv_head = (tmp_path / "measures.csv").read_text().splitlines()[0]
+        table_head = next(line for line in (tmp_path / "report.txt").read_text().splitlines()
+                          if line.startswith("Measure"))
+        return bundle["measures"]["RCOR"]["intervals"], csv_head, table_head
+
+    def test_default_labels_unchanged(self, tmp_path):
+        intervals, csv_head, table_head = self._bundle(tmp_path, "0.50,0.95")
+        assert list(intervals) == ["0.5", "0.95"]
+        assert csv_head == "measure,estimate,lower_0.5,upper_0.5,lower_0.95,upper_0.95"
+        assert table_head == ("Measure         Estimate   50% lower   50% upper"
+                              "   95% lower   95% upper")
+
+    def test_close_levels_keep_distinct_labels(self, tmp_path):
+        intervals, csv_head, table_head = self._bundle(tmp_path, "0.95,0.9500001")
+        assert list(intervals) == ["0.95", "0.9500001"]
+        assert csv_head.endswith(",lower_0.95,upper_0.95,lower_0.9500001,upper_0.9500001")
+        assert " 95% lower " in table_head and " 95.00001% lower " in table_head
+
+    @pytest.mark.parametrize("level, percent", [("0.999999999", "99.9999999%"),
+                                                ("0.975", "97.5%")])
+    def test_labels_are_exact(self, tmp_path, level, percent):
+        intervals, csv_head, table_head = self._bundle(tmp_path, level)
+        assert list(intervals) == [level]
+        assert csv_head.endswith(f",lower_{level},upper_{level}")
+        assert table_head.endswith(f" {percent} lower {percent} upper")

@@ -1,0 +1,103 @@
+"""The CLI's contract: whatever the table of counts or the bytes of the CSV,
+a run ends with exit code 0, 2, 3 or 4 and never raises."""
+
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
+
+from epinteract import cli
+
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_SINGULAR, cli.EXIT_NO_CONVERGE}
+TOTALS = (1, 2, 5, 50, 10**6, 10**9)
+# the first two use no covariate, so they fit tables with K = 0
+FORMULAS = (
+    "y ~ z1",
+    "y ~ z1 + z2 + z1:z2",
+    "y ~ z1 + z2 + z1:z2 + x1",
+    "y ~ z1 + z2 + z1:z2 + x1 + z1:x1 + z2:x1",
+)
+FIXTURE = resources.files("epinteract.fixtures").joinpath("nguyen2008.csv").read_bytes()
+MODEL_25 = "y ~ z1 + z2 + z1:z2 + x1 + x2 + x3 + z1:x2"
+
+# converges with max |beta| 13.4, but its covariance has a condition number
+# near 1e15, so the Cholesky factorization can fail even with jitter
+ILL_CONDITIONED = b"""x1,x2,z1,z2,successes,totals
+0,0,0,1,1,1000000000
+0,0,1,0,3,5
+0,0,1,1,981953588,1000000000
+0,1,0,0,2,2
+0,1,0,1,2,2
+0,1,1,0,0,2
+0,1,1,1,2,50
+1,1,0,0,0,1000000
+1,1,0,1,0,1
+1,1,1,0,2,50
+1,1,1,1,527471617,1000000000
+1,0,0,0,3,1000000000
+1,0,0,1,2,2
+"""
+# converges, but rounding leaves its covariance (largest entry 5e8)
+# asymmetric by 2e-8 next to a zero entry
+ROUNDED_ASYMMETRY = (b"x1,x2,z1,z2,successes,totals\n0,0,0,0,1,1000000\n0,0,1,0,0,1\n"
+                     b"1,0,1,0,1,2\n0,1,1,0,1,1\n0,1,0,1,0,1\n0,0,1,1,1,2\n")
+
+
+def _exit_code(csv_bytes, formula, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "in.csv"
+        src.write_bytes(csv_bytes)
+        return cli.main(["--input", str(src), "--formula", formula, "--draws", "20",
+                         "--seed", str(seed), "--format", "json",
+                         "--out", str(Path(tmp) / "out")])
+
+
+@st.composite
+def _tables(draw):
+    """A CSV of K = 0..2 binary covariates with some of its 2**(K+2) cells,
+    and a formula that names only its columns."""
+    k = draw(st.integers(0, 2))
+    lines = [",".join([f"x{i + 1}" for i in range(k)] + ["z1", "z2", "successes", "totals"])]
+    for cell in range(2 ** (k + 2)):
+        if draw(st.booleans()):
+            n = draw(st.sampled_from(TOTALS))
+            bits = [(cell >> b) & 1 for b in range(k + 2)]
+            lines.append(",".join(map(str, bits + [draw(st.integers(0, n)), n])))
+    formula = draw(st.sampled_from(FORMULAS if k else FORMULAS[:2]))
+    return ("\n".join(lines) + "\n").encode(), formula
+
+
+@st.composite
+def _mutated_fixture(draw):
+    """The bundled CSV with CRLF line ends, a byte-order mark, or up to three
+    short stretches replaced by a quote, a NUL, a 0xFF byte, a long run of
+    digits or a separator."""
+    data = FIXTURE
+    if draw(st.booleans()):
+        data = data.replace(b"\n", b"\r\n")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 3)))
+        piece = draw(st.sampled_from([b'"', b"\x00", b"\xff", b"9" * 25, b",", b"\n", b""]))
+        data = data[:i] + piece + data[j:]
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    return data
+
+
+@given(case=_tables(), seed=st.integers(0, 99))
+@example(case=(ILL_CONDITIONED, FORMULAS[3]), seed=48)
+@example(case=(ROUNDED_ASYMMETRY, FORMULAS[2]), seed=0)
+@settings(max_examples=60, deadline=None)
+def test_random_tables_end_with_a_contract_exit_code(case, seed):
+    assert _exit_code(*case, seed) in EXIT_CODES
+
+
+@given(data=_mutated_fixture())
+@example(data=b"x1,z1,z2,successes,totals\n\xff\xfe,0,0,1,2\n")
+@example(data=b"\xef\xbb\xbf" + FIXTURE)
+@example(data=b"\xef\xbb\xbf" + FIXTURE.replace(b"\n", b"\r\n"))
+@settings(max_examples=60, deadline=None)
+def test_mutated_csv_bytes_end_with_a_contract_exit_code(data):
+    assert _exit_code(data, MODEL_25, 1) in EXIT_CODES

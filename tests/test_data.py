@@ -116,6 +116,37 @@ class TestCsv:
             Dataset.from_csv(io.StringIO(text))
 
 
+class TestEncoding:
+    """A CSV is UTF-8 text; a leading byte-order mark, which spreadsheet
+    programs write, is not part of the first column's name."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_byte_order_mark_dropped(self, tmp_path, dataset, newline):
+        buf = io.StringIO()
+        dataset.to_csv(buf)
+        text = "\ufeff" + buf.getvalue().replace("\n", newline)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert Dataset.from_csv(path) == dataset
+        assert Dataset.from_csv(io.StringIO(text, newline="")) == dataset
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert Dataset.from_csv(fh) == dataset
+
+    def test_byte_order_mark_before_a_quoted_name(self):
+        text = '\ufeff"x1",z1,z2,successes,totals\n0,0,0,1,2\n'
+        assert Dataset.from_csv(io.StringIO(text)).covariate_names == ("x1",)
+
+    @pytest.mark.parametrize("body, line", [
+        (b"\xff\xfe,0,0,1,2\n", 2),
+        (b"0,0,0,1,2\r\n1,0,0,1,2\r\n1,\xe9,0,1,2\r\n", 4),
+    ])
+    def test_undecodable_bytes_name_their_line(self, tmp_path, body, line):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x1,z1,z2,successes,totals\n" + body)
+        with pytest.raises(InputError, match=f"^line {line}: not UTF-8 text"):
+            Dataset.from_csv(path)
+
+
 HEADER = "x1,x2,z1,z2,successes,totals\n"
 
 

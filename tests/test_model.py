@@ -161,6 +161,37 @@ class TestParseFormula:
         with pytest.raises(SpecificationError, match="q"):
             ei.parse_formula("y ~ q", header=("x1", "z1", "z2"))
 
+    def test_duplicate_names_the_term(self):
+        for text, label in (("y ~ x1 + z1 + z1", "z1"), ("y ~ z1:z2 + x1 + z2:z1", "z1:z2")):
+            with pytest.raises(SpecificationError, match=f"^duplicate term '{label}'$"):
+                ei.parse_formula(text)
+        with pytest.raises(SpecificationError, match="^duplicate term 'x1'$"):
+            ModelSpec(terms=(Term("intercept"), Term("main", ("x1",)), Term("main", ("x1",))))
+
+
+class TestUnknownVariables:
+    """Every path that resolves a formula's variables gives one message that
+    names all unknown variables and the names the data provides."""
+
+    MESSAGE = ("model references unknown variables ['q', 'w']; "
+               "data provides ['x1', 'x2', 'x3', 'z1', 'z2']")
+
+    def test_design_matrix(self):
+        spec = ei.parse_formula("y ~ z1 + q + w:z2")
+        with pytest.raises(SpecificationError) as err:
+            ei.build_design_row((0, 0), (0, 0, 0), spec)
+        assert str(err.value) == self.MESSAGE
+
+    def test_expand_dataset(self, dataset):
+        with pytest.raises(SpecificationError) as err:
+            ei.expand_dataset(dataset, ei.parse_formula("y ~ z1 + q + w:z2"))
+        assert str(err.value) == self.MESSAGE
+
+    def test_parse_formula_with_header(self, dataset):
+        with pytest.raises(SpecificationError) as err:
+            ei.parse_formula("y ~ z1 + q + w:z2", dataset.variable_names)
+        assert str(err.value) == self.MESSAGE
+
     def test_malformed(self):
         with pytest.raises(SpecificationError):
             ei.parse_formula("y ~ z1 + ")

@@ -64,6 +64,14 @@ class TestCholesky:
         with pytest.raises(ValueError):
             cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_rounding_asymmetry_of_a_large_matrix_accepted(self):
+        # an inverted information matrix with a variance of 4e8 can differ
+        # from its transpose by 2e-8 next to a zero: 5e-17 of its scale
+        sigma = np.array([[4e8, 0.0], [2e-8, 1.0]])
+        L, jitter = cholesky(sigma)
+        assert jitter == 0.0
+        np.testing.assert_allclose(L @ L.T, np.tril(sigma) + np.tril(sigma, -1).T)
+
 
 class TestDrawParameters:
     def test_deterministic(self, fit_full):
@@ -290,6 +298,16 @@ class TestConfig:
             SimulationConfig(levels=(0.0, 0.95))
         with pytest.raises(ValueError):
             SimulationConfig(covariance_choice="bootstrap")
+
+    def test_covariance_choice_uses_the_cli_words(self, fit_full):
+        from epinteract.simci import COVARIANCE_CHOICES
+
+        assert COVARIANCE_CHOICES == ("robust", "model")
+        assert SimulationConfig().covariance(fit_full) is fit_full.cov_robust
+        assert SimulationConfig(covariance_choice="model").covariance(fit_full) \
+            is fit_full.cov_model
+        with pytest.raises(ValueError, match="covariance_choice"):
+            SimulationConfig(covariance_choice="model_based")
 
     def test_seed_range(self):
         # Philox keys are 128-bit: anything outside is rejected up front
