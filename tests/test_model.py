@@ -168,6 +168,14 @@ class TestParseFormula:
         with pytest.raises(SpecificationError, match="^duplicate term 'x1'$"):
             ModelSpec(terms=(Term("intercept"), Term("main", ("x1",)), Term("main", ("x1",))))
 
+    def test_malformed(self):
+        with pytest.raises(SpecificationError):
+            ei.parse_formula("y ~ z1 + ")
+        with pytest.raises(SpecificationError):
+            ei.parse_formula("")
+        with pytest.raises(SpecificationError):
+            ei.parse_formula("y ~ z1:z2:x1")
+
 
 class TestUnknownVariables:
     """Every path that resolves a formula's variables gives one message that
@@ -191,11 +199,3 @@ class TestUnknownVariables:
         with pytest.raises(SpecificationError) as err:
             ei.parse_formula("y ~ z1 + q + w:z2", dataset.variable_names)
         assert str(err.value) == self.MESSAGE
-
-    def test_malformed(self):
-        with pytest.raises(SpecificationError):
-            ei.parse_formula("y ~ z1 + ")
-        with pytest.raises(SpecificationError):
-            ei.parse_formula("")
-        with pytest.raises(SpecificationError):
-            ei.parse_formula("y ~ z1:z2:x1")
