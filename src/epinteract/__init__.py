@@ -15,7 +15,6 @@ from .fitting import (
     SingularDesignError,
     fit,
     observed_information,
-    robust_covariance,
     sandwich_covariance,
 )
 from .measures import (
@@ -36,7 +35,6 @@ from .model import (
     ModelSpec,
     SpecificationError,
     Term,
-    build_design_row,
     design_matrix,
     expand_dataset,
     model_25_formula,

@@ -95,19 +95,20 @@ def _render_report(labels, result_fit, sim, levels):
     lines.append("Over-dispersion-adjusted covariance")
     lines.append(_fmt_matrix(labels, result_fit.cov_robust))
     lines.append("")
-    header = f"{'Measure':<14}{'Estimate':>10}"
-    for level in levels:
-        pct = _level_label(level, percent=True)
-        header += f"{f' {pct} lower':>12}{f' {pct} upper':>12}"
-    lines.append(header)
-    for mid in MEASURE_IDS:
-        est = sim[mid]
+    # (label, least width, values); a column widens to hold its label and a
+    # space before each value
+    columns = [("Estimate", 10, [sim[mid].point for mid in MEASURE_IDS])] + [
+        (f" {_level_label(level, percent=True)} {side}", 12,
+         [sim[mid].endpoints[level][j] for mid in MEASURE_IDS])
+        for level in levels for j, side in enumerate(("lower", "upper"))]
+    cells = [[f"{v:.2f}" for v in values] for _, _, values in columns]
+    widths = [max(least, len(label), *(len(c) + 1 for c in col))
+              for (label, least, _), col in zip(columns, cells)]
+    lines.append(f"{'Measure':<14}" + "".join(
+        f"{label:>{w}}" for (label, _, _), w in zip(columns, widths)))
+    for i, mid in enumerate(MEASURE_IDS):
         label = "DMRD (=DCRD)" if mid == "DMRD" else mid
-        row = f"{label:<14}{est.point:>10.2f}"
-        for level in levels:
-            lo, hi = est.endpoints[level]
-            row += f"{lo:>12.2f}{hi:>12.2f}"
-        lines.append(row)
+        lines.append(f"{label:<14}" + "".join(f"{col[i]:>{w}}" for col, w in zip(cells, widths)))
     lines.append("")
     lines.append(
         f"simulation: {len(sim[MEASURE_IDS[0]].draws)} draws, "
@@ -185,7 +186,7 @@ def run(args) -> int:
     try:
         _write_bundle(out, lambda stage: _write_files(
             stage, formats, args, levels, labels, fitted, sim, report))
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         return _error(f"output stage: {exc}")
     if report is not None:
         print(report, end="")

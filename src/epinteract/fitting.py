@@ -19,7 +19,6 @@ __all__ = [
     "log_likelihood",
     "score",
     "observed_information",
-    "robust_covariance",
     "sandwich_covariance",
     "deviance",
     "SingularDesignError",
@@ -29,8 +28,8 @@ SCORE_TOL = 1e-8
 STEP_TOL = 1e-10
 MAX_ITER = 100
 MAX_HALVINGS = 30
-# fitted probabilities this close to 0/1, or coefficients this large, at the
-# iteration cap are treated as (quasi-)complete separation
+# coefficients this large, or fitted probabilities this close to 0/1 in a fit
+# that did not converge, are treated as (quasi-)complete separation
 SEPARATION_PROB = 1e-10
 SEPARATION_COEF = 15.0
 
@@ -87,18 +86,6 @@ def deviance(coefficients, design, successes, totals):
             - xlogy(totals - successes, totals - mu)
         )
     )
-
-
-def robust_covariance(coefficients, design, successes, totals):
-    """Over-dispersion-adjusted covariance: (deviance / df) * information^-1.
-
-    df is the number of cells minus the number of parameters; with no
-    residual degrees of freedom the saturated fit has zero residual deviance
-    and the adjusted covariance is zero.
-    """
-    info = observed_information(coefficients, design, totals)
-    inv = _invert_information(info, design)
-    return _dispersion(coefficients, design, successes, totals, inv)[1]
 
 
 def _dispersion(coefficients, design, successes, totals, inv):
@@ -213,15 +200,13 @@ def fit(design, successes, totals) -> FitResult:
             break
 
     p = expit(design @ beta)
-    if not converged or np.any(np.abs(beta) > SEPARATION_COEF):
-        if np.any(p > 1.0 - SEPARATION_PROB) or np.any(p < SEPARATION_PROB) or np.any(
-            np.abs(beta) > SEPARATION_COEF
-        ):
-            converged = False
-            message = (
-                "possible quasi-complete separation: fitted probabilities or "
-                "coefficients diverged"
-            )
+    if np.any(np.abs(beta) > SEPARATION_COEF) or (not converged and (
+            np.any(p > 1.0 - SEPARATION_PROB) or np.any(p < SEPARATION_PROB))):
+        converged = False
+        message = (
+            "possible quasi-complete separation: fitted probabilities or "
+            "coefficients diverged"
+        )
 
     info = observed_information(beta, design, totals)
     cov_model = _invert_information(info, design)

@@ -143,7 +143,8 @@ def _predictors(block, design, out=None):
     d1 += d2  # grouped so that swapping z1 and z2 gives the same bits
     d1 -= beta12[:, None]
     np.add(Q[0], d1, out=Q[3])
-    return Q, np.exp(beta12) * w.sum()
+    with np.errstate(over="ignore"):  # beta12 > 709 only in a clamped row
+        return Q, np.exp(beta12) * w.sum()
 
 
 def _contrast(Q, w):

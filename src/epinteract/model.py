@@ -16,7 +16,6 @@ __all__ = [
     "Term",
     "ModelSpec",
     "SpecificationError",
-    "build_design_row",
     "design_matrix",
     "expand_dataset",
     "parse_formula",
@@ -119,11 +118,6 @@ def design_matrix(exposures, covariates, spec: ModelSpec, covariate_names=None):
         for v in term.variables:
             D[:, j] *= columns[v]
     return D
-
-
-def build_design_row(exposures, covariates, spec: ModelSpec, covariate_names=None):
-    """Evaluate each term of `spec` at one (z, x) point."""
-    return design_matrix([exposures], [covariates], spec, covariate_names)[0]
 
 
 def expand_dataset(data: Dataset, spec: ModelSpec):

@@ -129,16 +129,12 @@ def _normal_block(seed: int, start: int, count: int, k: int) -> np.ndarray:
     return ndtri(_open_unit(raw))
 
 
-def _standard_normals(seed: int, draw_index: int, k: int) -> np.ndarray:
-    return _normal_block(seed, draw_index, 1, k)[0]
-
-
 def draw_parameters(fit: FitResult, config: SimulationConfig, draw_index: int) -> np.ndarray:
     """One deterministic draw from N(coefficients, selected covariance)."""
     if not 0 <= draw_index < config.n_draws:
         raise ValueError(f"draw_index {draw_index} outside [0, {config.n_draws})")
     L, _ = cholesky(config.covariance(fit))
-    u = _standard_normals(config.seed, draw_index, len(fit.coefficients))
+    u = _normal_block(config.seed, draw_index, 1, len(fit.coefficients))[0]
     return fit.coefficients + L @ u
 
 

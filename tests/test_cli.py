@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import re
 from importlib import resources
 
 import pytest
 
 from epinteract import cli
-from epinteract.simci import COVARIANCE_CHOICES, NotPositiveSemiDefiniteError
+from epinteract.measures import MEASURE_IDS
+from epinteract.simci import (COVARIANCE_CHOICES, NotPositiveSemiDefiniteError,
+                              SimulationConfig, simulate)
 
 from conftest import FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL
 
@@ -253,6 +256,19 @@ class TestOutputStage:
         assert _listing(existing) == {"sentinel.bin": SENTINEL}
         assert capsys.readouterr().out == ""  # the table is printed only once written
 
+    def test_out_of_memory_while_writing_is_an_output_stage_error(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+        monkeypatch.setattr(cli, "histogram", no_memory)
+        out = tmp_path / "out"
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                     "--draws", "10", "--format", "csv", "--out", str(out))
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: output stage: Unable to allocate 7.45 GiB for an array\n")
+        assert not out.exists()
+
     def test_bundle_replaces_old_files_and_leaves_others(self, tmp_path):
         out = _out_with_sentinel(tmp_path / "out")
         (out / "report.json").write_text("stale")
@@ -439,3 +455,35 @@ class TestLevelLabels:
         assert list(intervals) == [level]
         assert csv_head.endswith(f",lower_{level},upper_{level}")
         assert table_head.endswith(f" {percent} lower {percent} upper")
+
+
+class TestReportColumns:
+    """Every report.txt value ends where its column's header ends, with at
+    least one space before it."""
+
+    @staticmethod
+    def assert_aligned(report):
+        lines = report.splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("Measure"))
+        header, rows = lines[i], lines[i + 1:i + 1 + len(MEASURE_IDS)]
+        ends = [m.end() for m in re.finditer(r"Estimate|lower|upper", header)]
+        for row in rows:
+            assert [14 + m.end() for m in re.finditer(r"\S+", row[14:])] == ends, row
+            assert row[:14].rstrip() in MEASURE_IDS + ("DMRD (=DCRD)",)
+
+    def test_long_level_label(self, tmp_path):
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL, "--draws", "50",
+                     "--seed", "1", "--levels", "0.999999999", "--format", "table",
+                     "--out", str(tmp_path))
+        assert rc == cli.EXIT_OK
+        self.assert_aligned((tmp_path / "report.txt").read_text())
+
+    def test_wide_endpoint(self, fit_full, spec_full, dist):
+        sim = simulate(fit_full, spec_full, dist, SimulationConfig(n_draws=10, seed=1))
+        rcor = sim["RCOR"]
+        wide = dataclasses.replace(rcor, endpoints={**rcor.endpoints,
+                                                    0.95: (rcor.endpoints[0.95][0], 1e9)})
+        sim = dataclasses.replace(sim, intervals={**sim.intervals, "RCOR": wide})
+        report = cli._render_report(spec_full.term_labels, fit_full, sim, (0.5, 0.95))
+        assert "1000000000.00" in report
+        self.assert_aligned(report)

@@ -1,5 +1,5 @@
-"""The CLI's contract: whatever the table of counts or the bytes of the CSV,
-a run ends with exit code 0, 2, 3 or 4 and never raises."""
+"""The CLI's contract: whatever the table of counts, the bytes of the CSV or
+the option values, a run ends with exit code 0, 2, 3 or 4 and never raises."""
 
 import tempfile
 from importlib import resources
@@ -101,3 +101,37 @@ def test_random_tables_end_with_a_contract_exit_code(case, seed):
 @settings(max_examples=60, deadline=None)
 def test_mutated_csv_bytes_end_with_a_contract_exit_code(data):
     assert _exit_code(data, MODEL_25, 1) in EXIT_CODES
+
+
+LEVEL_FIELDS = ("0.5", "0.95", "0.999999999", "nan", "inf", "-inf", "", " ", "1e-320",
+                "5e-324", "0", "1", "-0.5", "0.95x")
+FORMAT_WORDS = ("table", "json", "csv", "", " ", "xml", "Table", "table json")
+
+
+@st.composite
+def _options(draw):
+    """--levels, --format, --bins, --draws and --seed values, valid or not:
+    levels with non-finite, empty, subnormal, repeated or decreasing fields,
+    format lists with blanks or unknown words, and small or out-of-range
+    integers."""
+    levels = ",".join(draw(st.lists(st.sampled_from(LEVEL_FIELDS), min_size=1, max_size=4)))
+    formats = ",".join(draw(st.lists(st.sampled_from(FORMAT_WORDS), max_size=4)))
+    return [f"--levels={levels}", f"--format={formats}",
+            f"--bins={draw(st.integers(-2, 60))}", f"--draws={draw(st.integers(-1, 20))}",
+            f"--seed={draw(st.integers(-1, 2**130))}"]
+
+
+@given(options=_options())
+@example(options=["--levels=1e-320,5e-324", "--format=table", "--bins=1", "--draws=2",
+                  "--seed=0"])
+@example(options=["--levels=0.95,0.95", "--format=csv, ,json", "--bins=60", "--draws=20",
+                  "--seed=340282366920938463463374607431768211455"])
+@settings(max_examples=60, deadline=None)
+def test_random_options_end_with_a_contract_exit_code(options):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            code = cli.main(["--fixture", "nguyen2008", "--formula", MODEL_25,
+                             "--out", str(Path(tmp) / "out"), *options])
+        except SystemExit as exc:  # argparse rejects a malformed value with exit 2
+            code = exc.code
+    assert code in EXIT_CODES

@@ -443,6 +443,16 @@ class TestFactoredPredictor:
         assert n_clamped == 1
         assert batch["RCOR"][1] == expected
 
+    def test_overflowing_beta12_is_clamped_without_a_warning(self, fit_full, spec_full,
+                                                            dist):
+        coef = fit_full.coefficients.copy()
+        coef[3] = 800.0  # exp(800) overflows float64; the row is always clamped
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ms = ei.measure_set(coef, spec_full, dist)
+        assert ms.clamped
+        assert math.isfinite(ms.rcor)
+
     def test_simulated_rcor_endpoints_match_the_closed_form(self, fit_full, spec_full,
                                                            dist):
         # each draw's RCOR is sum(w) * exp(beta12), and beta12 is drawn from

@@ -13,6 +13,11 @@ _product = st.tuples(st.sampled_from(VARIABLES), st.sampled_from(VARIABLES)).fil
 TERM_FACTORS = st.one_of(st.sampled_from(VARIABLES).map(lambda v: (v,)), _product)
 
 
+def _design_row(exposures, covariates, spec, covariate_names=None):
+    """The design row of one (z, x) point."""
+    return ei.design_matrix([exposures], [covariates], spec, covariate_names)[0]
+
+
 class TestTerm:
     def test_product_variables_canonical(self):
         assert Term("product", ("z1", "x2")) == Term("product", ("x2", "z1"))
@@ -30,19 +35,19 @@ class TestTerm:
 
 class TestBuildDesignRow:
     def test_full_model_reference_points(self, spec_full):
-        row = ei.build_design_row((1, 1), (0, 0, 0), spec_full)
+        row = _design_row((1, 1), (0, 0, 0), spec_full)
         assert np.array_equal(row, [1, 1, 1, 1, 0, 0, 0, 0])
-        row = ei.build_design_row((1, 0), (0, 1, 0), spec_full)
+        row = _design_row((1, 0), (0, 1, 0), spec_full)
         assert np.array_equal(row, [1, 1, 0, 0, 0, 1, 0, 1])
 
     def test_reduced_model_baseline(self, spec_reduced):
-        row = ei.build_design_row((0, 0), (0, 0, 0), spec_reduced)
+        row = _design_row((0, 0), (0, 0, 0), spec_reduced)
         assert np.array_equal(row, [1, 0, 0, 0, 0, 0, 0])
 
     def test_unresolvable_variable(self):
         spec = ei.parse_formula("y ~ z1 + x9")
         with pytest.raises(SpecificationError, match="x9"):
-            ei.build_design_row((0, 0), (0, 0, 0), spec)
+            _design_row((0, 0), (0, 0, 0), spec)
 
     @given(st.integers(0, 4), st.data())
     def test_flipping_one_variable_touches_only_its_columns(self, idx, data):
@@ -51,8 +56,8 @@ class TestBuildDesignRow:
         names = ["x1", "x2", "x3", "z1", "z2"]
         flipped = list(bits)
         flipped[idx] ^= 1
-        row_a = ei.build_design_row(tuple(bits[3:]), tuple(bits[:3]), spec)
-        row_b = ei.build_design_row(tuple(flipped[3:]), tuple(flipped[:3]), spec)
+        row_a = _design_row(tuple(bits[3:]), tuple(bits[:3]), spec)
+        row_b = _design_row(tuple(flipped[3:]), tuple(flipped[:3]), spec)
         changed = {j for j in range(len(spec.terms)) if row_a[j] != row_b[j]}
         referencing = {
             j for j, t in enumerate(spec.terms) if names[idx] in t.variables
@@ -110,7 +115,7 @@ class TestExpandDataset:
     def test_rows_match_build_design_row(self, dataset, spec_full):
         X, _, _ = ei.expand_dataset(dataset, spec_full)
         for i, rec in enumerate(dataset.records):
-            row = ei.build_design_row(
+            row = _design_row(
                 rec.exposures, rec.covariates, spec_full, dataset.covariate_names
             )
             assert np.array_equal(X[i], row)
@@ -187,7 +192,7 @@ class TestUnknownVariables:
     def test_design_matrix(self):
         spec = ei.parse_formula("y ~ z1 + q + w:z2")
         with pytest.raises(SpecificationError) as err:
-            ei.build_design_row((0, 0), (0, 0, 0), spec)
+            _design_row((0, 0), (0, 0, 0), spec)
         assert str(err.value) == self.MESSAGE
 
     def test_expand_dataset(self, dataset):

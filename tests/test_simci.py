@@ -18,7 +18,6 @@ from epinteract.simci import (
     SimulationResult,
     _normal_block,
     _open_unit,
-    _standard_normals,
     cholesky,
     draw_parameters,
     histogram,
@@ -105,13 +104,13 @@ class TestDrawParameters:
         # law of large numbers: sample mean and covariance approach the target
         config = SimulationConfig(n_draws=100_000, seed=9)
         sigma = fit_full.cov_robust
-        from epinteract.simci import _standard_normals, cholesky as chol
+        from epinteract.simci import cholesky as chol
 
         L, _ = chol(sigma)
         k = len(fit_full.coefficients)
         U = np.empty((config.n_draws, k))
         for i in range(config.n_draws):
-            U[i] = _standard_normals(config.seed, i, k)
+            U[i] = _normal_block(config.seed, i, 1, k)[0]
         draws = fit_full.coefficients + U @ L.T
         se = np.sqrt(np.diag(sigma) / config.n_draws)
         assert np.all(np.abs(draws.mean(axis=0) - fit_full.coefficients) < 3 * se)
@@ -323,7 +322,7 @@ class TestStream:
     def test_block_equals_stacked_rows(self, k):
         for start, count in ((0, 7), (5, 3), (1000, 4)):
             rows = np.stack(
-                [_standard_normals(11, i, k) for i in range(start, start + count)]
+                [_normal_block(11, i, 1, k)[0] for i in range(start, start + count)]
             )
             block = _normal_block(11, start, count, k)
             assert block.shape == (count, k)
