@@ -4,6 +4,10 @@ Newton-Raphson with step-halving on the grouped log-likelihood; covariance
 comes in two flavours: the inverse observed information, and an
 over-dispersion-adjusted version scaled by deviance/df (the quasi-binomial
 adjustment). A raw independence-sandwich estimator is also available.
+
+Everything runs on numpy. scipy.linalg is imported only when the numpy rank
+screen cannot rule out a rank-deficient design, to name the redundant
+column by pivoted QR.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 __all__ = [
     "FitResult",
@@ -54,6 +57,18 @@ class FitResult:
     message: str = ""
 
 
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)); 0.0 where exp(-x) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def xlogy(x, y):
+    """x * log(y), and 0 where x == 0 (even at y == 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
 def log_likelihood(coefficients, design, successes, totals):
     """Grouped binomial log-likelihood (binomial coefficients omitted)."""
     p = expit(design @ coefficients)
@@ -94,7 +109,8 @@ def _dispersion(coefficients, design, successes, totals, inv):
     if df <= 0:
         return float("nan"), 0.0 * inv
     phi = deviance(coefficients, design, successes, totals) / df
-    return phi, phi * inv
+    with np.errstate(over="ignore"):  # a separated fit's inverse may reach 1e303
+        return phi, phi * inv
 
 
 def sandwich_covariance(coefficients, design, successes, totals):
@@ -114,6 +130,14 @@ def _check_rank(design):
         raise SingularDesignError(
             f"design has {n} rows but {k} columns", column=None
         )
+    # The verdict is pivoted QR's below. It flags pivot r only when
+    # |R_rr| <= tol, and then the trailing block bounds sigma_min by
+    # sqrt(k) * tol. Unpivoted R has the design's column norms and singular
+    # values, so a sigma_min clear of that bound by 4x needs no scipy.
+    R = np.linalg.qr(design, mode="r")
+    tol = max(n, k) * np.finfo(float).eps * np.linalg.norm(R, axis=0).max(initial=0.0)
+    if k and np.linalg.svd(R, compute_uv=False)[-1] > 4.0 * np.sqrt(k) * tol:
+        return
     # QR with pivoting: the first rank-deficient pivot names the column that
     # is linearly dependent on its predecessors
     from scipy.linalg import qr

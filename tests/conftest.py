@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -86,3 +89,12 @@ def random_risk_table(rng, n_strata):
         for x in patterns
     }
     return ei.RiskTable(values=values), ei.CovariateDistribution(weights=weights)
+
+
+def gen_wide_module():
+    """The benchmark's seeded wide-strata generator, perfbench/gen_wide.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen_wide.py"
+    spec = importlib.util.spec_from_file_location("gen_wide", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

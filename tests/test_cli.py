@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,22 @@ from conftest import FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def fresh_cli(*argv, flags=()):
+    """cli.main in a fresh interpreter. Returns the exit code, the names of
+    the scipy modules loaded when it returned, and stderr."""
+    code = ("import json, sys\n"
+            "from epinteract import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, *flags, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    rc, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    return rc, scipy_modules, done.stderr
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +169,23 @@ class TestErrorPaths:
         )
         assert rc == cli.EXIT_NO_CONVERGE
         assert "converge" in capsys.readouterr().err
+
+    def test_separated_fit_with_a_huge_inverse_warns_nothing(self, tmp_path):
+        # the inverse information reaches 4.4e303 here, and phi times it
+        # overflows: the exit-4 error must be the only line, even under -W error
+        table = tmp_path / "separated.csv"
+        table.write_text(
+            "x1,x2,z1,z2,successes,totals\n"
+            "0,0,0,0,1000000,1000000\n1,0,0,0,394897,1000000\n0,1,0,0,2,5\n"
+            "1,1,0,0,1000000000,1000000000\n0,0,1,0,1000000,1000000\n"
+            "1,0,1,0,1000000000,1000000000\n0,1,1,0,3,50\n0,1,0,1,1,1\n"
+            "1,1,0,1,1,1\n1,0,1,1,1,1\n0,1,1,1,0,1\n1,1,1,1,0,5\n"
+        )
+        rc, _, err = fresh_cli("--input", str(table), "--formula", "y ~ z1 + z2 + z1:z2 + x1",
+                               "--out", str(tmp_path / "out"), flags=("-W", "error"))
+        assert rc == cli.EXIT_NO_CONVERGE
+        assert err.startswith("error: fitting stage: did not converge")
+        assert err.count("\n") == 1
 
     def test_bad_levels(self, tmp_path, capsys):
         rc = run_cli(
@@ -344,6 +381,23 @@ class TestDiagnostics:
             if name not in ("report.txt", "report.json"):
                 assert quiet[name] == loud[name], name
         assert json.loads(loud["report.json"])["diagnostics"]["n_clamped_draws"] == 3
+
+
+def test_well_posed_run_imports_no_scipy(tmp_path):
+    rc, scipy_modules, _ = fresh_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                                     "--draws", "1000", "--seed", "1",
+                                     "--out", str(tmp_path / "c10"))
+    assert rc == cli.EXIT_OK
+    assert scipy_modules == []
+    # a rank-deficient design still gets its redundant column named, by the
+    # pivoted QR that only then imports scipy.linalg
+    bad = tmp_path / "collinear.csv"
+    bad.write_text("x1,z1,z2,successes,totals\n1,0,0,2,5\n1,0,1,3,5\n1,1,0,2,5\n1,1,1,4,5\n")
+    rc, scipy_modules, err = fresh_cli("--input", str(bad), "--formula", "y ~ z1 + x1",
+                                       "--out", str(tmp_path / "bad"))
+    assert rc == cli.EXIT_SINGULAR
+    assert re.search(r"column \d+ is linearly dependent", err)
+    assert "scipy.linalg" in scipy_modules
 
 
 def test_csv_to_fit_builds_no_records(tmp_path, monkeypatch, dataset):

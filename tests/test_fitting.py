@@ -1,13 +1,16 @@
 import io
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import epinteract as ei
 from epinteract.fitting import (
     SingularDesignError,
+    _check_rank,
     deviance,
     log_likelihood,
     observed_information,
@@ -15,7 +18,7 @@ from epinteract.fitting import (
     score,
 )
 
-from conftest import FULL_COEFS, FULL_COV_ROBUST
+from conftest import FULL_COEFS, FULL_COV_ROBUST, gen_wide_module
 
 
 def random_grouped_dataset(rng, n_rows=6, n_params=3):
@@ -205,6 +208,58 @@ class TestCovariances:
             np.array([np.log(3.0)]), np.array([[1.0]]), np.array([3.0]), np.array([4.0])
         )
         assert dev == pytest.approx(0.0, abs=1e-10)
+
+
+def pivoted_qr_column(design):
+    """The column a pivoted QR names as linearly dependent, or None: the
+    rank test that _check_rank's numpy screen must agree with."""
+    from scipy.linalg import qr
+
+    _, R, piv = qr(design, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    bad = np.flatnonzero(diag <= max(design.shape) * np.finfo(float).eps * diag[0])
+    return int(piv[bad[0]]) if bad.size else None
+
+
+@st.composite
+def zero_one_designs(draw):
+    """A 0/1 design, as drawn, or with one column replaced by a combination
+    of the others, exactly or up to 1e-13 in one row."""
+    n = draw(st.integers(2, 30))
+    k = draw(st.integers(1, min(n, 8)))
+    X = draw(hnp.arrays(np.float64, (n, k), elements=st.sampled_from([0.0, 1.0])))
+    kind = draw(st.sampled_from(["drawn", "dependent", "nearly dependent"]))
+    if kind != "drawn" and k > 1:
+        j = draw(st.integers(0, k - 1))
+        others = np.delete(np.arange(k), j)
+        weights = draw(hnp.arrays(np.float64, k - 1, elements=st.sampled_from([-1.0, 1.0, 2.0])))
+        X[:, j] = X[:, others] @ weights
+        if kind == "nearly dependent":
+            X[draw(st.integers(0, n - 1)), j] += 1e-13
+    return X
+
+
+class TestRankScreen:
+    @given(zero_one_designs())
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_and_column_match_pivoted_qr(self, X):
+        expected = pivoted_qr_column(X)
+        if expected is None:
+            _check_rank(X)
+        else:
+            with pytest.raises(SingularDesignError) as err:
+                _check_rank(X)
+            assert err.value.column == expected
+
+    def test_fixture_and_wide_designs_need_no_scipy(self, dataset, spec_full, monkeypatch):
+        gen_wide = gen_wide_module()
+        wide = ei.Dataset(cells=gen_wide.generate(1), covariate_names=gen_wide.COVARIATE_NAMES)
+        designs = [ei.expand_dataset(dataset, spec_full)[0], ei.expand_dataset(
+            wide, ei.parse_formula(gen_wide.FORMULA, wide.variable_names))[0]]
+        assert designs[1].shape == (gen_wide.N_CELLS, gen_wide.N_PARAMETERS)
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # importing it fails
+        for X in designs:
+            _check_rank(X)
 
 
 @st.composite

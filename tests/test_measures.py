@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from epinteract.measures import (EXPOSURE_LEVELS, LOGIT_CLAMP, RiskTable, _contr
 from epinteract.model import design_matrix
 
 from conftest import (FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL,
-                      random_risk_table)
+                      gen_wide_module, random_risk_table)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +334,6 @@ class TestOracleEquivalence:
         assert ei.dcrd(table, dist) == pytest.approx(oracle_dcrd(table, dist), abs=1e-14)
 
 
-def _gen_wide():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen_wide.py"
-    spec = importlib.util.spec_from_file_location("gen_wide", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestFactoredPredictor:
     """Models hold no term beyond a pairwise product, so the kernel builds the
     four exposure levels from three products of one design at z = (1, 1)."""
@@ -359,7 +349,7 @@ class TestFactoredPredictor:
     def wide_case():
         # gen_wide's 22-term formula, with z1:x and z2:x products, on the
         # cells of 24 of its 4096 covariate patterns
-        gen_wide = _gen_wide()
+        gen_wide = gen_wide_module()
         cells = gen_wide.generate(3).reshape(gen_wide.N_PATTERNS, 4, -1)
         rows = np.random.default_rng(3).choice(gen_wide.N_PATTERNS, 24, replace=False)
         data = ei.Dataset(cells=cells[np.sort(rows)].reshape(-1, cells.shape[-1]),

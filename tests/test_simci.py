@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from epinteract.simci import (
     NotPositiveSemiDefiniteError,
     SimulationConfig,
     SimulationResult,
+    _ndtri,
     _normal_block,
     _open_unit,
     cholesky,
@@ -363,6 +365,41 @@ class TestStream:
         assert np.all((u > 0.0) & (u < 1.0))
         assert u[0] == 1.0 - u[-1]  # the grid is symmetric about 1/2
         assert np.isfinite(ndtri(u)).all()
+
+
+
+def _grid_ulps(words):
+    """Distance of simci's inverse normal from scipy's ndtri, in ulps of
+    ndtri, at the grid uniforms of the given raw words."""
+    p = _open_unit(np.asarray(words, dtype=np.uint64))
+    ref = ndtri(p)
+    return np.abs(_ndtri(p) - ref) / np.spacing(np.abs(ref))
+
+
+class TestInverseNormal:
+    """simci's numpy AS 241 against scipy.special.ndtri on the uniform grid."""
+
+    WORDS = np.random.default_rng(241).integers(0, 2**64, size=10**6, dtype=np.uint64)
+
+    def test_random_grid_words_within_8_ulp(self):
+        assert _grid_ulps(self.WORDS).max() <= 8
+
+    def test_extreme_words_within_8_ulp(self):
+        assert _grid_ulps([0, 1, 2**63, 2**64 - 1]).max() <= 8
+
+    @pytest.mark.parametrize("switch", [0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0)])
+    def test_both_sides_of_each_formula_switch(self, switch):
+        # |p - 1/2| = 0.425 separates the central formula from the tails, and
+        # min(p, 1 - p) = exp(-25) (r = 5) the near tail from the far tail
+        cell = int(switch * 2**52)
+        words = np.arange(cell - 1000, cell + 1000, dtype=np.uint64) << np.uint64(12)
+        p = _open_unit(words)
+        assert p[0] < switch < p[-1]
+        assert _grid_ulps(words).max() <= 8
+
+    def test_exact_antisymmetry(self):
+        p = _open_unit(self.WORDS)
+        np.testing.assert_array_equal(_ndtri(1.0 - p), -_ndtri(p))
 
 
 def _reference_draws_csv(result):
