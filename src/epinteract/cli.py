@@ -14,11 +14,13 @@ import tempfile
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
+
 from .data import Dataset, InputError, covariate_distribution, load_fixture, FIXTURES
 from .fitting import SingularDesignError, fit
 from .measures import MEASURE_IDS, RISK_CLAMP
 from .model import SpecificationError, expand_dataset, parse_formula
-from .simci import (CHUNK, COVARIANCE_CHOICES, NotPositiveSemiDefiniteError,
+from .simci import (CHUNK, COVARIANCE_CHOICES, MAX_FLOATS, NotPositiveSemiDefiniteError,
                     SimulationConfig, histogram, simulate)
 
 EXIT_OK = 0
@@ -134,8 +136,8 @@ def run(args) -> int:
         levels = tuple(float(t) for t in args.levels.split(","))
     except ValueError:
         return _error(f"cannot parse levels {args.levels!r}")
-    if args.bins < 1:
-        return _error(f"--bins must be >= 1, got {args.bins}")
+    if not 1 <= args.bins < MAX_FLOATS:
+        return _error(f"--bins must lie in [1, {MAX_FLOATS}), got {args.bins}")
     try:
         config = SimulationConfig(n_draws=args.draws, seed=args.seed, levels=levels,
                                   covariance_choice=args.covariance)
@@ -178,6 +180,9 @@ def run(args) -> int:
     if not config.covariance(fitted).any():
         print(f"warning: the {args.covariance} covariance is all zeros, so every "
               "interval equals its point estimate", file=sys.stderr)
+    elif args.covariance == "robust" and fitted.dispersion < 1:  # NaN compares False
+        print(f"warning: the dispersion {fitted.dispersion:.3g} is below 1, so the robust "
+              "intervals are narrower than the model-based ones", file=sys.stderr)
     if sim.n_clamped_draws:
         print(f"warning: {sim.n_clamped_draws} of {args.draws} draws had a risk "
               f"clamped to within {RISK_CLAMP:g} of 0 or 1", file=sys.stderr)
@@ -263,17 +268,26 @@ def _write_rows(fh, header, rows) -> None:
 def export_draws_csv(sim, fh) -> None:
     """Write every sorted draw to the open text file fh, as CSV rows
     measure_id,draw_index,value."""
-    # same bytes as csv.writer rows [mid, i, repr(float(v))]: no field
-    # ever needs quoting, and tolist() yields the Python floats repr sees;
-    # converting per CHUNK keeps the peak RSS of a long-lived process flat
+    # same bytes as csv.writer rows [mid, i, repr(float(v))]. orjson's Ryu
+    # digits equal repr's for 1e-4 <= |v| < 1e16 and for zero; any other
+    # value (tiny, huge, nan, inf) goes in as its repr string, and the
+    # quotes around it are dropped. Converting per CHUNK keeps the peak RSS
+    # of a long-lived process flat.
+    import orjson  # loaded only by a run that writes draws.csv
+
     fh.write("measure_id,draw_index,value\n")
     for mid in MEASURE_IDS:
         draws = sim[mid].draws
+        row = f"\n{mid},"
         for start in range(0, len(draws), CHUNK):
-            fh.write("".join([
-                f"{mid},{i},{v!r}\n"
-                for i, v in enumerate(draws[start:start + CHUNK].tolist(), start)
-            ]))
+            chunk = draws[start:start + CHUNK]
+            values = chunk.tolist()
+            size = np.abs(chunk)
+            fast = ((1e-4 <= size) & (size < 1e16)) | (chunk == 0)  # nan compares False
+            for j in np.flatnonzero(~fast).tolist():
+                values[j] = repr(values[j])
+            pairs = orjson.dumps(list(zip(range(start, start + len(values)), values))).decode()
+            fh.write(mid + "," + pairs[2:-2].replace("],[", row).replace('"', "") + "\n")
 
 
 def summary_dict(sim, fitted, labels, args, levels) -> dict:

@@ -46,6 +46,9 @@ __all__ = [
 JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 CHUNK = 4096  # draws generated, or CSV rows joined, per step; bounds temporaries
 COVARIANCE_CHOICES = ("robust", "model")  # FitResult.cov_robust or FitResult.cov_model
+# float64 values in the largest array numpy can index; it refuses a larger
+# one with a ValueError, not a MemoryError
+MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 class NotPositiveSemiDefiniteError(np.linalg.LinAlgError):
@@ -214,8 +217,8 @@ def histogram(draws, n_bins: int):
     """Equal-width bins over [min, max]; rightmost bin is closed. Returns a
     list of (left, right, count)."""
     draws = np.asarray(draws, dtype=float)
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    if not 1 <= n_bins < MAX_FLOATS:
+        raise ValueError(f"n_bins must lie in [1, {MAX_FLOATS})")
     lo, hi = float(draws.min()), float(draws.max())
     if hi <= lo:
         hi = lo + 1e-12  # degenerate range rule
@@ -237,6 +240,9 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
         raise ValueError("cannot simulate from a non-converged fit")
     L, jitter = cholesky(config.covariance(fit))
     k = len(fit.coefficients)
+    if config.n_draws * k > MAX_FLOATS:
+        raise MemoryError(f"{config.n_draws} draws of {k} parameters exceed the "
+                          "largest array numpy can index")
     U = np.empty((config.n_draws, k))
     for start in range(0, config.n_draws, CHUNK):
         count = min(CHUNK, config.n_draws - start)

@@ -226,6 +226,23 @@ class TestErrorPaths:
         assert "error: simulation stage:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--bins", 10**19), ("--bins", 2**63 - 1), ("--bins", 2**62), ("--bins", 2**50),
+        ("--draws", 10**19), ("--draws", 2**63 - 1), ("--draws", 2**50),
+    ])
+    def test_huge_count_is_a_one_line_error(self, tmp_path, capsys, flag, value):
+        # each needs an array past numpy's index range or past a 128 TiB user
+        # address space, so it fails without allocating
+        out = tmp_path / "out"
+        rc = run_cli(
+            "--fixture", "nguyen2008", "--formula", FULL_MODEL,
+            "--draws", "10", flag, str(value), "--out", str(out),
+        )
+        assert rc == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_largest_seed_accepted(self, tmp_path):
         rc = run_cli(
             "--fixture", "nguyen2008", "--formula", FULL_MODEL,
@@ -337,6 +354,12 @@ SATURATED = ("z1,z2,successes,totals\n"
              "0,0,1,100\n0,1,1,100\n1,0,1,100\n1,1,90,100\n")
 
 
+# deviance 0.28 on 4 df under y ~ z1 + z2 + z1:z2: dispersion 0.069
+UNDER_DISPERSED = ("x1,z1,z2,successes,totals\n"
+                   "0,0,0,10,100\n1,0,0,11,100\n0,0,1,20,100\n1,0,1,22,100\n"
+                   "0,1,0,30,100\n1,1,0,29,100\n0,1,1,50,100\n1,1,1,52,100\n")
+
+
 def _no_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -360,6 +383,32 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert "warning: the robust covariance is all zeros" in err
         assert "clamped" not in err
+
+    @pytest.mark.parametrize("source, covariance, warns", [
+        ("under", "robust", True),
+        ("fixture", "robust", False),  # dispersion 1.575
+        ("under", "model", False),
+    ])
+    def test_under_dispersion_warns_for_robust_intervals(self, tmp_path, capsys,
+                                                          source, covariance, warns):
+        if source == "under":
+            src = tmp_path / "under.csv"
+            src.write_text(UNDER_DISPERSED)
+            data = ["--input", str(src), "--formula", "y ~ z1 + z2 + z1:z2"]
+        else:
+            data = ["--fixture", "nguyen2008", "--formula", FULL_MODEL]
+        out = tmp_path / "out"
+        rc = run_cli(*data, "--covariance", covariance, "--seed", "1", "--format", "json",
+                     "--out", str(out))
+        assert rc == cli.EXIT_OK
+        err = capsys.readouterr().err
+        if warns:
+            assert err == ("warning: the dispersion 0.0695 is below 1, so the robust "
+                           "intervals are narrower than the model-based ones\n")
+        else:
+            assert err == ""
+        phi = json.loads((out / "report.json").read_text())["fit"]["dispersion"]
+        assert (phi < 1) == (source == "under")
 
     def test_clamped_draws_warn_without_changing_files(self, tmp_path, capsys, monkeypatch):
         real = cli.simulate

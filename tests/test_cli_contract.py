@@ -106,6 +106,7 @@ def test_mutated_csv_bytes_end_with_a_contract_exit_code(data):
 LEVEL_FIELDS = ("0.5", "0.95", "0.999999999", "nan", "inf", "-inf", "", " ", "1e-320",
                 "5e-324", "0", "1", "-0.5", "0.95x")
 FORMAT_WORDS = ("table", "json", "csv", "", " ", "xml", "Table", "table json")
+HUGE = st.integers(2**50, 2**70)
 
 
 @st.composite
@@ -113,11 +114,14 @@ def _options(draw):
     """--levels, --format, --bins, --draws and --seed values, valid or not:
     levels with non-finite, empty, subnormal, repeated or decreasing fields,
     format lists with blanks or unknown words, and small or out-of-range
-    integers."""
+    integers. Huge --bins and --draws need more than any address space
+    holds; no count between the small ones and 2**50 is drawn, since it
+    would really allocate or run."""
     levels = ",".join(draw(st.lists(st.sampled_from(LEVEL_FIELDS), min_size=1, max_size=4)))
     formats = ",".join(draw(st.lists(st.sampled_from(FORMAT_WORDS), max_size=4)))
     return [f"--levels={levels}", f"--format={formats}",
-            f"--bins={draw(st.integers(-2, 60))}", f"--draws={draw(st.integers(-1, 20))}",
+            f"--bins={draw(st.integers(-2, 60) | HUGE)}",
+            f"--draws={draw(st.integers(-1, 20) | HUGE)}",
             f"--seed={draw(st.integers(-1, 2**130))}"]
 
 
@@ -126,6 +130,10 @@ def _options(draw):
                   "--seed=0"])
 @example(options=["--levels=0.95,0.95", "--format=csv, ,json", "--bins=60", "--draws=20",
                   "--seed=340282366920938463463374607431768211455"])
+@example(options=["--levels=0.95", "--format=csv", f"--bins={2**62}", "--draws=20",
+                  "--seed=0"])
+@example(options=["--levels=0.95", "--format=json", "--bins=30", f"--draws={2**63 - 1}",
+                  "--seed=0"])
 @settings(max_examples=60, deadline=None)
 def test_random_options_end_with_a_contract_exit_code(options):
     with tempfile.TemporaryDirectory() as tmp:

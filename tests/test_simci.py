@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +184,11 @@ class TestHistogram:
         assert sum(c for _, _, c in bins) == len(draws)
         edges = [left for left, _, _ in bins] + [bins[-1][1]]
         assert edges[0] == draws.min() and all(np.diff(edges) > 0)
+
+    @pytest.mark.parametrize("n_bins", [0, 2**62, 2**63 - 1, 10**19])
+    def test_bin_count_outside_numpy_range_rejected(self, n_bins):
+        with pytest.raises(ValueError, match="n_bins"):
+            histogram(np.array([0.0, 1.0]), n_bins)
 
     def test_bell_shape(self):
         rng = np.random.default_rng(2)
@@ -423,6 +432,10 @@ def _result_with_draws(columns):
 SPECIAL_VALUES = [
     float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
     2.2250738585072014e-308, 1e-05, 1e16, 1e-4, 123456789012345.6,
+    # either side of the magnitudes 1e-4 and 1e16, where repr switches
+    # between positional and exponent notation
+    float(np.nextafter(1e-4, 0)), float(np.nextafter(1e-4, 1)), -1e-4,
+    float(np.nextafter(1e16, 0)), -1e16, 1e15, 0.001, 5e-05,
 ]
 
 
@@ -451,3 +464,30 @@ class TestExportDrawsCsv:
         with open(target, "w", newline="", encoding="utf-8") as fh:
             export_draws_csv(result, fh)
         assert target.read_bytes() == _reference_draws_csv(result).encode("utf-8")
+
+    def test_random_bit_patterns(self):
+        # 20 000 uniform 64-bit words hold subnormal, tiny, positional, huge
+        # and nan doubles of either sign; SPECIAL_VALUES adds the infinities
+        # and both notation switch points
+        words = np.random.default_rng(64).integers(0, 2**64, size=20_000, dtype=np.uint64)
+        columns = [col.copy() for col in np.split(words.view(np.float64),
+                                                  [5000, 10000, 15000, 19500])]
+        for col in columns[:4]:
+            for at in (CHUNK // 2, CHUNK + 200):  # mid-chunk, in the first and second chunk
+                col[at:at + len(SPECIAL_VALUES)] = SPECIAL_VALUES
+        result = _result_with_draws(columns)
+        fh = io.StringIO()
+        export_draws_csv(result, fh)
+        assert fh.getvalue() == _reference_draws_csv(result)
+
+
+def test_import_loads_no_orjson():
+    # only a run that writes draws.csv loads orjson: importing the library or
+    # the CLI module must not pay for it
+    code = "import sys, epinteract.cli; print('orjson' in sys.modules)"
+    src = str(Path(ei.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
