@@ -45,6 +45,7 @@ __all__ = [
 
 JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 CHUNK = 4096  # draws generated, or CSV rows joined, per step; bounds temporaries
+# CHUNK must be a multiple of four, so chunked products take the BLAS paths of one whole product
 COVARIANCE_CHOICES = ("robust", "model")  # FitResult.cov_robust or FitResult.cov_model
 # float64 values in the largest array numpy can index; it refuses a larger
 # one with a ValueError, not a MemoryError
@@ -235,38 +236,34 @@ def histogram(draws, n_bins: int):
 def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
              config: SimulationConfig) -> SimulationResult:
     """Approximate sampling distribution of every measure, from one shared
-    stream of parameter draws."""
+    stream of parameter draws, generated and evaluated one CHUNK at a time."""
     if not fit.converged:
         raise ValueError("cannot simulate from a non-converged fit")
     L, jitter = cholesky(config.covariance(fit))
-    k = len(fit.coefficients)
-    if config.n_draws * k > MAX_FLOATS:
-        raise MemoryError(f"{config.n_draws} draws of {k} parameters exceed the "
-                          "largest array numpy can index")
-    U = np.empty((config.n_draws, k))
+    if len(MEASURE_IDS) * config.n_draws > MAX_FLOATS:
+        raise MemoryError(f"{config.n_draws} draws of {len(MEASURE_IDS)} measures exceed "
+                          "the largest array numpy can index")
+    values = np.empty((len(MEASURE_IDS), config.n_draws))
+    n_clamped = 0
+    design = _pattern_design(spec, dist)
     for start in range(0, config.n_draws, CHUNK):
         count = min(CHUNK, config.n_draws - start)
-        U[start:start + count] = _normal_block(config.seed, start, count, k)
-    draws = fit.coefficients + U @ L.T
-
-    design = _pattern_design(spec, dist)
-    values, n_clamped = batch_measures(draws, spec, dist, design)
+        # a short last chunk is padded with the next draws to a multiple of four
+        # rows, so that a single row does not go to gemv instead of gemm
+        U = _normal_block(config.seed, start, count + -count % 4, len(fit.coefficients))
+        chunk, clamped = batch_measures((fit.coefficients + U @ L.T)[:count], spec, dist, design)
+        values[:, start:start + count] = list(chunk.values())
+        n_clamped += clamped
+    values.sort(axis=1)
     point = measure_set(fit.coefficients, spec, dist, design)
     point_values = point.as_dict()
 
-    intervals = {}
-    for mid in MEASURE_IDS:
-        sorted_draws = np.sort(values[mid])
-        endpoints = {
-            level: percentile_interval(sorted_draws, level)
-            for level in config.levels
-        }
-        intervals[mid] = IntervalEstimate(
-            measure_id=mid,
-            point=point_values[mid],
-            draws=sorted_draws,
-            endpoints=endpoints,
-        )
+    intervals = {
+        mid: IntervalEstimate(
+            measure_id=mid, point=point_values[mid], draws=draws,
+            endpoints={level: percentile_interval(draws, level) for level in config.levels})
+        for mid, draws in zip(MEASURE_IDS, values)
+    }
     return SimulationResult(
         intervals=intervals, n_clamped_draws=n_clamped, jitter=jitter, point=point
     )

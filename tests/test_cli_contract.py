@@ -105,24 +105,37 @@ def test_mutated_csv_bytes_end_with_a_contract_exit_code(data):
 
 LEVEL_FIELDS = ("0.5", "0.95", "0.999999999", "nan", "inf", "-inf", "", " ", "1e-320",
                 "5e-324", "0", "1", "-0.5", "0.95x")
+VALID_LEVELS = ("1e-320", "0.5", "0.95", "0.999999999")
 FORMAT_WORDS = ("table", "json", "csv", "", " ", "xml", "Table", "table json")
 HUGE = st.integers(2**50, 2**70)
 
 
+def _mostly(valid, wild):
+    """A value of valid about three times in four, else any value of wild
+    (st.one_of picks its branches evenly, repeated ones included)."""
+    return st.sampled_from((valid, valid, valid, wild)).flatmap(lambda pool: pool)
+
+
 @st.composite
 def _options(draw):
-    """--levels, --format, --bins, --draws and --seed values, valid or not:
-    levels with non-finite, empty, subnormal, repeated or decreasing fields,
-    format lists with blanks or unknown words, and small or out-of-range
-    integers. Huge --bins and --draws need more than any address space
-    holds; no count between the small ones and 2**50 is drawn, since it
-    would really allocate or run."""
-    levels = ",".join(draw(st.lists(st.sampled_from(LEVEL_FIELDS), min_size=1, max_size=4)))
-    formats = ",".join(draw(st.lists(st.sampled_from(FORMAT_WORDS), max_size=4)))
-    return [f"--levels={levels}", f"--format={formats}",
-            f"--bins={draw(st.integers(-2, 60) | HUGE)}",
-            f"--draws={draw(st.integers(-1, 20) | HUGE)}",
-            f"--seed={draw(st.integers(-1, 2**130))}"]
+    """--levels, --format, --bins, --draws and --seed values, each valid most
+    of the time, so that most examples reach the fit, the simulation and the
+    writers, or else wild: levels with non-finite, empty, subnormal, repeated
+    or decreasing fields, format lists with blanks or unknown words, and
+    small or out-of-range integers. Huge --bins and --draws need more than
+    any address space holds; no count between the small ones and 2**50 is
+    drawn, since it would really allocate or run."""
+    levels = draw(_mostly(
+        st.lists(st.sampled_from(VALID_LEVELS), min_size=1, max_size=3, unique=True)
+        .map(lambda fields: sorted(fields, key=float)),
+        st.lists(st.sampled_from(LEVEL_FIELDS), min_size=1, max_size=4)))
+    formats = draw(_mostly(
+        st.lists(st.sampled_from(FORMAT_WORDS[:3]), min_size=1, max_size=3, unique=True),
+        st.lists(st.sampled_from(FORMAT_WORDS), max_size=4)))
+    return [f"--levels={','.join(levels)}", f"--format={','.join(formats)}",
+            f"--bins={draw(_mostly(st.integers(1, 60), st.integers(-2, 60) | HUGE))}",
+            f"--draws={draw(_mostly(st.integers(2, 20), st.integers(-1, 20) | HUGE))}",
+            f"--seed={draw(_mostly(st.integers(0, 2**128 - 1), st.integers(-1, 2**130)))}"]
 
 
 @given(options=_options())

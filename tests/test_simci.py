@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -357,11 +358,42 @@ class TestStream:
         monkeypatch.setattr(simci, "batch_measures", capture)
         config = SimulationConfig(n_draws=CHUNK + 3, seed=5)
         simulate(unit, spec_full, dist, config)
-        (draws,) = seen
+        # one kernel call per chunk, none larger than CHUNK rows
+        assert len(seen) == -(-config.n_draws // CHUNK)
+        assert all(len(chunk) <= CHUNK for chunk in seen)
+        draws = np.concatenate(seen)
         assert draws.shape == (CHUNK + 3, k)
         for i in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2):
             np.testing.assert_array_equal(draws[i], draw_parameters(unit, config, i))
         np.testing.assert_array_equal(draws, _normal_block(5, 0, CHUNK + 3, k))
+
+    @pytest.mark.parametrize("n_draws", [CHUNK + 1, CHUNK + 3])
+    def test_simulate_equals_one_whole_matrix_pass(self, fit_full, spec_full, dist, n_draws):
+        # the fixture's robust covariance, so the chunked products U @ L.T and
+        # the chunk boundaries are held to one whole product and one kernel
+        # pass, bit for bit; a last chunk of one row must not change a bit
+        config = SimulationConfig(n_draws=n_draws, seed=5)
+        sim = simulate(fit_full, spec_full, dist, config)
+        L, _ = cholesky(fit_full.cov_robust)
+        U = _normal_block(5, 0, n_draws, len(fit_full.coefficients))
+        whole, n_clamped = simci.batch_measures(fit_full.coefficients + U @ L.T, spec_full, dist)
+        for mid in ei.MEASURE_IDS:
+            np.testing.assert_array_equal(sim[mid].draws, np.sort(whole[mid]))
+        assert sim.n_clamped_draws == n_clamped
+
+    def test_memory_does_not_grow_with_draws_times_parameters(
+            self, fit_full, spec_full, dist):
+        # the only array that grows with N is the (5, N) measure values; N x k
+        # normals and parameter draws would read 43 MB here
+        n_draws = 200_000
+        simulate(fit_full, spec_full, dist, SimulationConfig(n_draws=10, seed=0))
+        tracemalloc.start()
+        try:
+            simulate(fit_full, spec_full, dist, SimulationConfig(n_draws=n_draws, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(ei.MEASURE_IDS) * n_draws * 8
 
     def test_normals_finite(self):
         z = _normal_block(0, 0, 50_000, 8)
