@@ -139,6 +139,10 @@ def run(args) -> int:
     if not 1 <= args.bins < MAX_FLOATS:
         return _error(f"--bins must lie in [1, {MAX_FLOATS}), got {args.bins}")
     try:
+        np.empty(args.bins + 1)  # the histogram edges, refused before any data is read
+    except MemoryError as exc:
+        return _error(f"--bins {args.bins}: {exc}")
+    try:
         config = SimulationConfig(n_draws=args.draws, seed=args.seed, levels=levels,
                                   covariance_choice=args.covariance)
     except ValueError as exc:
@@ -245,7 +249,7 @@ def _write_files(stage, formats, args, levels, labels, fitted, sim, report):
                  + [repr(float(v)) for level in levels for v in sim[mid].endpoints[level]]
                  for mid in MEASURE_IDS],
             )
-        with create("draws.csv") as fh:
+        with open(stage / "draws.csv", "wb") as fh:
             export_draws_csv(sim, fh)
         for mid in MEASURE_IDS:
             with create(f"hist_{mid}.csv") as fh:
@@ -266,28 +270,34 @@ def _write_rows(fh, header, rows) -> None:
 
 
 def export_draws_csv(sim, fh) -> None:
-    """Write every sorted draw to the open text file fh, as CSV rows
+    """Write every sorted draw to the open binary file fh, as CSV rows
     measure_id,draw_index,value."""
-    # same bytes as csv.writer rows [mid, i, repr(float(v))]. orjson's Ryu
-    # digits equal repr's for 1e-4 <= |v| < 1e16 and for zero; any other
-    # value (tiny, huge, nan, inf) goes in as its repr string, and the
-    # quotes around it are dropped. Converting per CHUNK keeps the peak RSS
-    # of a long-lived process flat.
+    # same bytes as csv.writer rows [mid, i, repr(float(v))]. orjson serializes
+    # each CHUNK of values and of indices straight from numpy; its Ryu digits
+    # equal repr's for 1e-4 <= |v| < 1e16 and for zero, and repr respells any
+    # other value (tiny, huge, nan, inf). Each row starts with its newline.
+    # Converting per CHUNK keeps the peak RSS of a long-lived process flat.
     import orjson  # loaded only by a run that writes draws.csv
 
-    fh.write("measure_id,draw_index,value\n")
+    option = orjson.OPT_SERIALIZE_NUMPY
+    fh.write(b"measure_id,draw_index,value")
     for mid in MEASURE_IDS:
         draws = sim[mid].draws
-        row = f"\n{mid},"
+        row = f"\n{mid},".encode()
         for start in range(0, len(draws), CHUNK):
-            chunk = draws[start:start + CHUNK]
-            values = chunk.tolist()
+            # orjson takes only C-contiguous arrays
+            chunk = np.ascontiguousarray(draws[start:start + CHUNK], dtype=float)
+            indices = orjson.dumps(np.arange(start, start + len(chunk)), option=option)
+            values = orjson.dumps(chunk, option=option)[1:-1].split(b",")
             size = np.abs(chunk)
             fast = ((1e-4 <= size) & (size < 1e16)) | (chunk == 0)  # nan compares False
             for j in np.flatnonzero(~fast).tolist():
-                values[j] = repr(values[j])
-            pairs = orjson.dumps(list(zip(range(start, start + len(values)), values))).decode()
-            fh.write(mid + "," + pairs[2:-2].replace("],[", row).replace('"', "") + "\n")
+                values[j] = repr(float(chunk[j])).encode()
+            rows = values * 2  # each "\nmid,i," followed by its value
+            rows[0::2] = (row + indices[1:-1].replace(b",", b",|" + row) + b",").split(b"|")
+            rows[1::2] = values
+            fh.write(b"".join(rows))
+    fh.write(b"\n")
 
 
 def summary_dict(sim, fitted, labels, args, levels) -> dict:

@@ -198,8 +198,9 @@ def draw_parameters(fit: FitResult, config: SimulationConfig, draw_index: int) -
     if not 0 <= draw_index < config.n_draws:
         raise ValueError(f"draw_index {draw_index} outside [0, {config.n_draws})")
     L, _ = cholesky(config.covariance(fit))
-    u = _normal_block(config.seed, draw_index, 1, len(fit.coefficients))[0]
-    return fit.coefficients + L @ u
+    # four rows, as in simulate: a one-row product goes to gemv, not gemm
+    U = _normal_block(config.seed, draw_index, 4, len(fit.coefficients))
+    return fit.coefficients + (U @ L.T)[0]
 
 
 def percentile_interval(draws, level: float):
@@ -210,8 +211,14 @@ def percentile_interval(draws, level: float):
         raise ValueError("need at least two draws for a percentile interval")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    lo, hi = np.quantile(draws, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
-    return float(lo), float(hi)
+    return _endpoints(draws, (level,))[level]
+
+
+def _endpoints(draws: np.ndarray, levels) -> dict[float, tuple[float, float]]:
+    """percentile_interval at every level, from one np.quantile call."""
+    ends = np.quantile(draws, [(1.0 + side * level) / 2.0
+                               for level in levels for side in (-1, 1)]).tolist()
+    return {level: (ends[2 * j], ends[2 * j + 1]) for j, level in enumerate(levels)}
 
 
 def histogram(draws, n_bins: int):
@@ -226,11 +233,16 @@ def histogram(draws, n_bins: int):
     # numpy needs n_bins distinct edges: span at least 2 * n_bins ulps of the
     # larger end, so the bins stay distinct even if hi crosses a binade
     hi = max(hi, lo + 2 * n_bins * float(np.spacing(max(abs(lo), abs(hi)))))
-    counts, edges = np.histogram(draws, bins=n_bins, range=(lo, hi))
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i]))
-        for i in range(n_bins)
-    ]
+    if (draws[:-1] <= draws[1:]).all():  # sorted, as simulate leaves its draws
+        # np.histogram's own edges; a value on an interior edge counts to the
+        # right, and the last bin is closed
+        edges = np.histogram_bin_edges(draws, bins=n_bins, range=(lo, hi))
+        cuts = np.searchsorted(draws, edges, side="left")
+        cuts[-1] = len(draws)
+        counts = np.diff(cuts)
+    else:
+        counts, edges = np.histogram(draws, bins=n_bins, range=(lo, hi))
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
 
 
 def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
@@ -259,9 +271,8 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
     point_values = point.as_dict()
 
     intervals = {
-        mid: IntervalEstimate(
-            measure_id=mid, point=point_values[mid], draws=draws,
-            endpoints={level: percentile_interval(draws, level) for level in config.levels})
+        mid: IntervalEstimate(measure_id=mid, point=point_values[mid], draws=draws,
+                              endpoints=_endpoints(draws, config.levels))
         for mid, draws in zip(MEASURE_IDS, values)
     }
     return SimulationResult(

@@ -243,6 +243,22 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("bins", [2**50, 2**59])
+    def test_unallocatable_bins_refused_before_the_fit(self, tmp_path, capsys, monkeypatch,
+                                                       bins):
+        # inside numpy's index range, but its 8 PiB or more of edges cannot be
+        # allocated: refused at argument checking, never after the simulation
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model was fitted before --bins was checked")
+        monkeypatch.setattr(cli, "fit", refuse)
+        out = tmp_path / "out"
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                     "--bins", str(bins), "--out", str(out))
+        assert rc == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --bins {bins}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_largest_seed_accepted(self, tmp_path):
         rc = run_cli(
             "--fixture", "nguyen2008", "--formula", FULL_MODEL,

@@ -191,6 +191,53 @@ class TestHistogram:
         with pytest.raises(ValueError, match="n_bins"):
             histogram(np.array([0.0, 1.0]), n_bins)
 
+    @pytest.mark.parametrize("draws, n_bins", [
+        (np.linspace(0.0, 3.0, 31), 30),  # every value on an edge
+        (np.repeat([0.0, 0.25, 0.5, 0.75, 1.0], 3), 4),  # ties on interior edges
+        (np.full(7, 2.0), 3),  # constant: hi = lo + 1e-12
+        (np.full(4, 1e7), 5),  # constant, where 1e-12 is below an ulp
+        (np.array([1.0, np.nextafter(1.0, 2.0)]), 30),  # 2 * n_bins ulps wide
+        (np.array([-1e300, -1e300, np.nextafter(-1e300, 0.0)]), 17),
+        (np.array([8.85, np.nextafter(np.nextafter(8.85, 9.0), 9.0)]), 30),
+        (np.array([-2.0, 0.5, 7.25]), 1000),  # more bins than draws
+        (np.array([3.0, 1.0, 2.0, 2.0, 5.0]), 4),  # unsorted: np.histogram itself
+    ])
+    def test_equals_numpy_histogram(self, draws, n_bins):
+        got = histogram(draws, n_bins)
+        counts, edges = np.histogram(draws, bins=n_bins, range=(got[0][0], got[-1][1]))
+        assert got == list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
+
+    @pytest.mark.parametrize("draws, fallback", [
+        (np.array([1.0, 2.0, 2.0, 4.0]), False),
+        (np.array([1.0, 4.0, 2.0, 2.0]), True),
+        (np.array([1.0, 2.0, np.nan]), True),  # nan fails the sortedness check
+    ])
+    def test_only_unsorted_draws_reach_numpy_histogram(self, draws, fallback, monkeypatch):
+        calls = []
+        real = np.histogram
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "histogram", spy)
+        try:
+            histogram(draws, 3)
+        except ValueError:  # np.histogram refuses a nan range, as before
+            assert np.isnan(draws).any()
+        assert bool(calls) == fallback
+
+    def test_random_sorted_draws_with_ties_equal_numpy_histogram(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n_bins = int(rng.integers(1, 60))
+            scale = 10.0 ** rng.integers(-8, 9)
+            grid = rng.integers(0, rng.integers(2, 200), rng.integers(1, 500))
+            draws = np.sort(np.round(rng.normal(size=grid.size), 1) * scale + grid)
+            got = histogram(draws, n_bins)
+            counts, edges = np.histogram(draws, bins=n_bins, range=(got[0][0], got[-1][1]))
+            assert got == list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
+
     def test_bell_shape(self):
         rng = np.random.default_rng(2)
         draws = rng.standard_normal(100_000)
@@ -272,14 +319,36 @@ class TestSimulate:
             assert lo == pytest.approx(sim[mid].point, rel=1e-9)
             assert hi == pytest.approx(sim[mid].point, rel=1e-9)
 
-    def test_draws_match_draw_parameters(self, fit_full, spec_full, dist):
-        config = SimulationConfig(n_draws=50, seed=13)
-        sim = simulate(fit_full, spec_full, dist, config)
-        values = []
-        for i in range(config.n_draws):
+    def test_draws_match_draw_parameters(self, fit_full, spec_full, dist, monkeypatch):
+        # the fixture's robust covariance: draw_parameters pads its product to
+        # four rows as simulate does, so each draw and its measures are equal
+        # to simulate's bit for bit, on either side of a CHUNK boundary
+        seen = []
+        real = simci.batch_measures
+
+        def capture(draws, *args):
+            values, clamped = real(draws, *args)
+            seen.append((draws.copy(), values))
+            return values, clamped
+
+        monkeypatch.setattr(simci, "batch_measures", capture)
+        config = SimulationConfig(n_draws=CHUNK + 5, seed=13)
+        simulate(fit_full, spec_full, dist, config)
+        draws = np.concatenate([d for d, _ in seen])
+        rcor = np.concatenate([v["RCOR"] for _, v in seen])
+        for i in [*range(50), *range(CHUNK - 5, CHUNK + 5)]:
             coef = draw_parameters(fit_full, config, i)
-            values.append(ei.measure_set(coef, spec_full, dist).rcor)
-        np.testing.assert_allclose(np.sort(values), sim["RCOR"].draws, rtol=1e-9)
+            np.testing.assert_array_equal(coef, draws[i])
+            assert ei.measure_set(coef, spec_full, dist).rcor == rcor[i]
+
+    def test_endpoints_equal_percentile_interval(self, fit_full, spec_full, dist):
+        # one np.quantile call for every level gives each level's own endpoints
+        levels = (0.1, 0.5, 0.8, 0.95, 0.999)
+        sim = simulate(fit_full, spec_full, dist,
+                       SimulationConfig(n_draws=1001, seed=3, levels=levels))
+        for mid in ei.MEASURE_IDS:
+            for level in levels:
+                assert sim[mid].endpoints[level] == percentile_interval(sim[mid].draws, level)
 
     def test_unconverged_fit_rejected(self, fit_full, spec_full, dist):
         bad = dataclasses.replace(fit_full, converged=False)
@@ -483,9 +552,9 @@ class TestExportDrawsCsv:
     @settings(max_examples=100, deadline=None)
     def test_matches_csv_writer(self, columns):
         result = _result_with_draws(columns)
-        fh = io.StringIO()
+        fh = io.BytesIO()
         export_draws_csv(result, fh)
-        assert fh.getvalue() == _reference_draws_csv(result)
+        assert fh.getvalue() == _reference_draws_csv(result).encode()
 
     def test_special_values_and_chunk_boundary_to_file(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -493,7 +562,7 @@ class TestExportDrawsCsv:
         columns[0][: len(SPECIAL_VALUES)] = SPECIAL_VALUES
         result = _result_with_draws(columns)
         target = tmp_path / "draws.csv"
-        with open(target, "w", newline="", encoding="utf-8") as fh:
+        with open(target, "wb") as fh:
             export_draws_csv(result, fh)
         assert target.read_bytes() == _reference_draws_csv(result).encode("utf-8")
 
@@ -508,9 +577,48 @@ class TestExportDrawsCsv:
             for at in (CHUNK // 2, CHUNK + 200):  # mid-chunk, in the first and second chunk
                 col[at:at + len(SPECIAL_VALUES)] = SPECIAL_VALUES
         result = _result_with_draws(columns)
-        fh = io.StringIO()
+        fh = io.BytesIO()
         export_draws_csv(result, fh)
-        assert fh.getvalue() == _reference_draws_csv(result)
+        assert fh.getvalue() == _reference_draws_csv(result).encode()
+
+    @pytest.mark.parametrize("columns", [
+        [[], [], [], [], []],  # orjson spells an empty chunk "[]"
+        [[], [2.5], [], [-0.0], []],
+        [[1.5], [float("nan")], [1e300], [0.25], [5e-324]],
+    ], ids=["all-empty", "some-empty", "one-value"])
+    def test_empty_and_one_value_columns(self, columns):
+        result = _result_with_draws(columns)
+        fh = io.BytesIO()
+        export_draws_csv(result, fh)
+        assert fh.getvalue() == _reference_draws_csv(result).encode()
+
+    def test_fast_chunk_next_to_mixed_chunks(self):
+        # chunk 0 holds only values that orjson spells, chunk 1 repr's too,
+        # and the short last chunk ends on a value that only repr spells
+        rng = np.random.default_rng(4)
+        column = rng.uniform(0.5, 2.0, 2 * CHUNK + 3)
+        column[CHUNK + 7] = 1e-7
+        column[-1] = float("inf")
+        result = _result_with_draws([column, column[::-1].copy(), column[:CHUNK],
+                                     column[CHUNK:], column[-3:]])
+        fh = io.BytesIO()
+        export_draws_csv(result, fh)
+        assert fh.getvalue() == _reference_draws_csv(result).encode()
+
+    def test_non_contiguous_and_float32_draws(self):
+        # orjson's numpy path takes only C-contiguous arrays, and float32
+        # values must be spelled as the doubles repr(float(v)) sees
+        rng = np.random.default_rng(6)
+        table = rng.lognormal(0, 2, (CHUNK + 9, 5))
+        columns = [table[:, j] for j in range(4)] + [table[::-2, 4].astype(np.float32)]
+        assert not any(c.flags.c_contiguous for c in columns[:4])
+        result = SimulationResult(
+            intervals={mid: IntervalEstimate(mid, 0.0, col, {})
+                       for mid, col in zip(ei.MEASURE_IDS, columns)},
+            n_clamped_draws=0, jitter=0.0)
+        fh = io.BytesIO()
+        export_draws_csv(result, fh)
+        assert fh.getvalue() == _reference_draws_csv(result).encode()
 
 
 def test_import_loads_no_orjson():
