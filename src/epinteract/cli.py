@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -20,13 +21,14 @@ from .data import Dataset, InputError, covariate_distribution, load_fixture, FIX
 from .fitting import SingularDesignError, fit
 from .measures import MEASURE_IDS, RISK_CLAMP
 from .model import SpecificationError, expand_dataset, parse_formula
-from .simci import (CHUNK, COVARIANCE_CHOICES, MAX_FLOATS, NotPositiveSemiDefiniteError,
+from .simci import (COVARIANCE_CHOICES, MAX_FLOATS, NotPositiveSemiDefiniteError,
                     SimulationConfig, histogram, simulate)
 
 EXIT_OK = 0
 EXIT_INPUT = 2       # CSV / formula / argument problems
 EXIT_SINGULAR = 3    # rank-deficient design
 EXIT_NO_CONVERGE = 4  # no usable fit: no convergence, or an unfactorizable covariance
+ROW_BLOCK = 10_000  # draws.csv rows per join; a power of ten, see _row_digits
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,33 +271,38 @@ def _write_rows(fh, header, rows) -> None:
     writer.writerows(rows)
 
 
+@functools.cache
+def _row_digits() -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """Row j's index digits and comma in a draws.csv block: "7," in block 0, "0007," after."""
+    bare = tuple(b"%d," % j for j in range(ROW_BLOCK))
+    return bare, tuple(d.rjust(len(bare[-1]), b"0") for d in bare)
+
+
 def export_draws_csv(sim, fh) -> None:
     """Write every sorted draw to the open binary file fh, as CSV rows
     measure_id,draw_index,value."""
     # same bytes as csv.writer rows [mid, i, repr(float(v))]. orjson serializes
-    # each CHUNK of values and of indices straight from numpy; its Ryu digits
-    # equal repr's for 1e-4 <= |v| < 1e16 and for zero, and repr respells any
-    # other value (tiny, huge, nan, inf). Each row starts with its newline.
-    # Converting per CHUNK keeps the peak RSS of a long-lived process flat.
+    # each block of values straight from numpy; its Ryu digits equal repr's
+    # for 1e-4 <= |v| < 1e16 and for zero, and repr respells any other value
+    # (tiny, huge, nan, inf). Row c * ROW_BLOCK + j joins "\nmid,c" ("\nmid,"
+    # in block 0), j's digits from the fixed tables and the value.
     import orjson  # loaded only by a run that writes draws.csv
 
-    option = orjson.OPT_SERIALIZE_NUMPY
+    bare, padded = _row_digits()
     fh.write(b"measure_id,draw_index,value")
     for mid in MEASURE_IDS:
         draws = sim[mid].draws
-        row = f"\n{mid},".encode()
-        for start in range(0, len(draws), CHUNK):
+        for c, start in enumerate(range(0, len(draws), ROW_BLOCK)):
             # orjson takes only C-contiguous arrays
-            chunk = np.ascontiguousarray(draws[start:start + CHUNK], dtype=float)
-            indices = orjson.dumps(np.arange(start, start + len(chunk)), option=option)
-            values = orjson.dumps(chunk, option=option)[1:-1].split(b",")
+            chunk = np.ascontiguousarray(draws[start:start + ROW_BLOCK], dtype=float)
+            values = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
             size = np.abs(chunk)
             fast = ((1e-4 <= size) & (size < 1e16)) | (chunk == 0)  # nan compares False
             for j in np.flatnonzero(~fast).tolist():
                 values[j] = repr(float(chunk[j])).encode()
-            rows = values * 2  # each "\nmid,i," followed by its value
-            rows[0::2] = (row + indices[1:-1].replace(b",", b",|" + row) + b",").split(b"|")
-            rows[1::2] = values
+            rows = [f"\n{mid},{c or ''}".encode()] * (3 * len(values))
+            rows[1::3] = (padded if c else bare)[:len(values)]
+            rows[2::3] = values
             fh.write(b"".join(rows))
     fh.write(b"\n")
 

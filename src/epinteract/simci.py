@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
-CHUNK = 4096  # draws generated, or CSV rows joined, per step; bounds temporaries
+CHUNK = 4096  # draws generated per step; bounds temporaries
 # CHUNK must be a multiple of four, so chunked products take the BLAS paths of one whole product
 COVARIANCE_CHOICES = ("robust", "model")  # FitResult.cov_robust or FitResult.cov_model
 # float64 values in the largest array numpy can index; it refuses a larger
@@ -125,22 +125,23 @@ def cholesky(sigma):
 def _open_unit(raw: np.ndarray) -> np.ndarray:
     # top 52 bits -> cell midpoint, exact in float64, so never 0.0 or 1.0
     # (a 53-bit midpoint rounds up to 1.0 for the largest word)
-    return ((raw >> 12) + 0.5) * 2.0**-52
+    return np.multiply(u := np.add(raw >> 12, 0.5), 2.0**-52, out=u)
 
 
 def _rational(coef: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """P(r) / Q(r) by one Horner pass over both; coef has one row per power,
-    highest first, and the columns P and Q."""
-    acc = np.multiply.outer(coef[0], r)
-    for c in coef[1:-1]:
-        acc += c[:, None]
-        acc *= r
-    acc += coef[-1][:, None]
-    return acc[0] / acc[1]
+    """P(r) / Q(r), rows P and Q of coef highest power first, in two in-place Horner passes."""
+    num, den = coef[:, :1] * r
+    for acc, row in ((num, coef[0]), (den, coef[1])):
+        for c in row[1:-1]:
+            acc += c
+            acc *= r
+        acc += row[-1]
+    num /= den
+    return num
 
 
 def _coefficients(num, den):
-    return np.array([num[::-1], den[::-1]]).T
+    return np.array([num[::-1], den[::-1]])
 
 
 # AS 241 coefficients, lowest power first: the central region |p - 1/2| <=
@@ -170,9 +171,9 @@ _FAR_TAIL = _coefficients(
 
 
 def _ndtri(p: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF of p strictly inside (0, 1), by AS 241.
-    The central formula runs on every value and only the tail (about 15% of
-    uniforms) is gathered; x(1 - p) == -x(p) exactly wherever 1 - p is exact."""
+    """Inverse standard normal CDF of p strictly inside (0, 1), by AS 241: the
+    central formula on every value, the near tail on the gathered tail (about
+    15%), the far tail where r > 5; x(1 - p) == -x(p) wherever 1 - p is exact."""
     shape = p.shape
     p = p.ravel()
     q = p - 0.5
@@ -180,7 +181,9 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     tail = np.flatnonzero(np.abs(q) > 0.425)
     pt = p[tail]
     r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-    xt = np.where(r <= 5.0, _rational(_NEAR_TAIL, r - 1.6), _rational(_FAR_TAIL, r - 5.0))
+    xt = _rational(_NEAR_TAIL, r - 1.6)
+    far = np.flatnonzero(r > 5.0)
+    xt[far] = _rational(_FAR_TAIL, r[far] - 5.0)
     x[tail] = np.copysign(xt, q[tail])
     return x.reshape(shape)
 

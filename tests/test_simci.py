@@ -512,6 +512,59 @@ class TestInverseNormal:
         np.testing.assert_array_equal(_ndtri(1.0 - p), -_ndtri(p))
 
 
+def _reference_rational(coef, r):
+    """P(r) / Q(r) in one broadcast (2, n) Horner pass over both rows."""
+    acc = np.multiply.outer(coef[:, 0], r)
+    for c in coef.T[1:-1]:
+        acc += c[:, None]
+        acc *= r
+    acc += coef[:, -1][:, None]
+    return acc[0] / acc[1]
+
+
+def _reference_ndtri(p):
+    """AS 241 with both tail formulas on the whole tail, picked by np.where."""
+    q = p - 0.5
+    x = q * _reference_rational(simci._CENTRAL, 0.180625 - q * q)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    pt = p[tail]
+    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    xt = np.where(r <= 5.0, _reference_rational(simci._NEAR_TAIL, r - 1.6),
+                  _reference_rational(simci._FAR_TAIL, r - 5.0))
+    x[tail] = np.copysign(xt, q[tail])
+    return x
+
+
+class TestInverseNormalBits:
+    """The two-pass rational functions and the far tail evaluated only where
+    r > 5 change no bit of the broadcast evaluation."""
+
+    # min(p, 1 - p) < exp(-25), so r > 5, for words below about 2.6e8 and
+    # their mirrors near 2**64; these run across that switch on both sides
+    LOW = np.arange(0, 2**28, 2**10, dtype=np.uint64)
+    FAR_WORDS = np.concatenate([LOW, ~LOW])
+
+    @pytest.mark.parametrize("words", [
+        np.random.Philox(key=241).random_raw(2 * 10**6),
+        np.array([0, 1, 2, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+        FAR_WORDS,
+    ], ids=["philox", "extreme", "far-tail"])
+    def test_equals_the_broadcast_evaluation(self, words):
+        p = _open_unit(words)
+        np.testing.assert_array_equal(_ndtri(p).view(np.uint64),
+                                      _reference_ndtri(p).view(np.uint64))
+
+    def test_far_tail_words_reach_both_tail_formulas(self):
+        p = _open_unit(self.FAR_WORDS)
+        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+        assert (r > 5.0).sum() > 1000 and (r <= 5.0).sum() > 1000
+
+    def test_open_unit_is_the_cell_midpoint(self):
+        words = np.random.Philox(key=52).random_raw(10**5)
+        expected = ((words >> np.uint64(12)) + 0.5) * 2.0**-52
+        np.testing.assert_array_equal(_open_unit(words), expected)
+
+
 def _reference_draws_csv(result):
     fh = io.StringIO()
     w = csv.writer(fh, lineterminator="\n")
@@ -605,6 +658,22 @@ class TestExportDrawsCsv:
         export_draws_csv(result, fh)
         assert fh.getvalue() == _reference_draws_csv(result).encode()
 
+    def test_row_blocks(self):
+        # rows join in blocks of 10 000: block 0 spells bare indices, later
+        # blocks their block number then four zero-padded digits, and the
+        # block number reaches two digits at row 100 000; special values sit
+        # on both sides of each of those boundaries
+        rng = np.random.default_rng(15)
+        columns = [rng.lognormal(0, 3, n) for n in (9_999, 10_000, 10_001, 20_003, 100_001)]
+        for shift, col in enumerate(columns):
+            for at in (9_999, 10_000, 100_000):
+                window = col[at:at + len(SPECIAL_VALUES)]
+                window[:] = np.roll(SPECIAL_VALUES, shift)[:len(window)]
+        result = _result_with_draws(columns)
+        fh = io.BytesIO()
+        export_draws_csv(result, fh)
+        assert fh.getvalue() == _reference_draws_csv(result).encode()
+
     def test_non_contiguous_and_float32_draws(self):
         # orjson's numpy path takes only C-contiguous arrays, and float32
         # values must be spelled as the doubles repr(float(v)) sees
@@ -622,12 +691,13 @@ class TestExportDrawsCsv:
 
 
 def test_import_loads_no_orjson():
-    # only a run that writes draws.csv loads orjson: importing the library or
-    # the CLI module must not pay for it
-    code = "import sys, epinteract.cli; print('orjson' in sys.modules)"
+    # only a run that writes draws.csv loads orjson and builds the row digit
+    # tables: importing the library or the CLI module must not pay for either
+    code = ("import sys, epinteract.cli as cli; "
+            "print('orjson' in sys.modules, cli._row_digits.cache_info().currsize)")
     src = str(Path(ei.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "0"]
