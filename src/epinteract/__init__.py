@@ -15,7 +15,6 @@ from .fitting import (
     SingularDesignError,
     fit,
     observed_information,
-    sandwich_covariance,
 )
 from .measures import (
     MEASURE_IDS,

@@ -28,7 +28,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2       # CSV / formula / argument problems
 EXIT_SINGULAR = 3    # rank-deficient design
 EXIT_NO_CONVERGE = 4  # no usable fit: no convergence, or an unfactorizable covariance
-ROW_BLOCK = 10_000  # draws.csv rows per join; a power of ten, see _row_digits
+ROW_BLOCK = 10_000  # draws.csv rows per block; a power of ten, see _index_digits
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,38 +272,50 @@ def _write_rows(fh, header, rows) -> None:
 
 
 @functools.cache
-def _row_digits() -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-    """Row j's index digits and comma in a draws.csv block: "7," in block 0, "0007," after."""
-    bare = tuple(b"%d," % j for j in range(ROW_BLOCK))
-    return bare, tuple(d.rjust(len(bare[-1]), b"0") for d in bare)
+def _index_digits() -> np.ndarray:
+    """Row j's index in a draws.csv block as zero-padded ASCII digits, row j
+    of a (ROW_BLOCK, log10(ROW_BLOCK)) uint8 table stored column by column."""
+    places = 10 ** np.arange(len(str(ROW_BLOCK)) - 2, -1, -1)
+    return (np.arange(ROW_BLOCK) // places[:, None] % 10 + ord("0")).astype(np.uint8).T
 
 
 def export_draws_csv(sim, fh) -> None:
     """Write every sorted draw to the open binary file fh, as CSV rows
     measure_id,draw_index,value."""
-    # same bytes as csv.writer rows [mid, i, repr(float(v))]. orjson serializes
-    # each block of values straight from numpy; its Ryu digits equal repr's
-    # for 1e-4 <= |v| < 1e16 and for zero, and repr respells any other value
-    # (tiny, huge, nan, inf). Row c * ROW_BLOCK + j joins "\nmid,c" ("\nmid,"
-    # in block 0), j's digits from the fixed tables and the value.
+    # same bytes as csv.writer rows [mid, i, repr(float(v))]: orjson's Ryu digits
+    # equal repr's for 1e-4 <= |v| < 1e16 and for zero, and repr respells the rest.
+    # Row c * ROW_BLOCK + j is "\nmid,c" (no c in block 0), j's digits and the
+    # value. Per run of j with one digit count, one replace turns each comma of
+    # orjson's array into that prefix with zeros, which j's digits overwrite.
     import orjson  # loaded only by a run that writes draws.csv
 
-    bare, padded = _row_digits()
+    width = len(str(ROW_BLOCK)) - 1
     fh.write(b"measure_id,draw_index,value")
     for mid in MEASURE_IDS:
         draws = sim[mid].draws
         for c, start in enumerate(range(0, len(draws), ROW_BLOCK)):
             # orjson takes only C-contiguous arrays
             chunk = np.ascontiguousarray(draws[start:start + ROW_BLOCK], dtype=float)
-            values = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
             size = np.abs(chunk)
             fast = ((1e-4 <= size) & (size < 1e16)) | (chunk == 0)  # nan compares False
-            for j in np.flatnonzero(~fast).tolist():
-                values[j] = repr(float(chunk[j])).encode()
-            rows = [f"\n{mid},{c or ''}".encode()] * (3 * len(values))
-            rows[1::3] = (padded if c else bare)[:len(values)]
-            rows[2::3] = values
-            fh.write(b"".join(rows))
+            head = f"\n{mid},{c or ''}".encode()
+            # block 0's bare indices gain a digit at 10, 100, ...
+            cuts = [0] if c else [0] + [10 ** w for w in range(1, width) if 10 ** w < len(chunk)]
+            for lo, hi in zip(cuts, cuts[1:] + [len(chunk)]):
+                rows = bytearray(b",") + memoryview(  # "[a,b]" becomes ",a,b"
+                    orjson.dumps(chunk[lo:hi], option=orjson.OPT_SERIALIZE_NUMPY))[1:-1]
+                if not fast[lo:hi].all():  # split this run, respell, rejoin
+                    values = rows.split(b",")
+                    for j in np.flatnonzero(~fast[lo:hi]).tolist():
+                        values[1 + j] = repr(float(chunk[lo + j])).encode()
+                    rows = bytearray(b",").join(values)
+                w = width if c else len(str(lo))
+                rows = rows.replace(b",", head + b"0" * w + b",")
+                view = np.frombuffer(rows, np.uint8)  # rows is not resized from here on
+                at = np.flatnonzero(view == ord("\n")) + len(head) - 1
+                for k, column in enumerate(_index_digits()[lo:hi, width - w:].T, 1):
+                    view[at + k] = column
+                fh.write(rows)
     fh.write(b"\n")
 
 

@@ -3,7 +3,7 @@
 Newton-Raphson with step-halving on the grouped log-likelihood; covariance
 comes in two flavours: the inverse observed information, and an
 over-dispersion-adjusted version scaled by deviance/df (the quasi-binomial
-adjustment). A raw independence-sandwich estimator is also available.
+adjustment).
 
 Everything runs on numpy. scipy.linalg is imported only when the numpy rank
 screen cannot rule out a rank-deficient design, to name the redundant
@@ -22,7 +22,6 @@ __all__ = [
     "log_likelihood",
     "score",
     "observed_information",
-    "sandwich_covariance",
     "deviance",
     "SingularDesignError",
 ]
@@ -111,16 +110,6 @@ def _dispersion(coefficients, design, successes, totals, inv):
     phi = deviance(coefficients, design, successes, totals) / df
     with np.errstate(over="ignore"):  # a separated fit's inverse may reach 1e303
         return phi, phi * inv
-
-
-def sandwich_covariance(coefficients, design, successes, totals):
-    """Independence sandwich A^-1 B A^-1 with per-cell scores
-    U_i = (s_i - n_i p_i) x_i."""
-    info = observed_information(coefficients, design, totals)
-    inv = _invert_information(info, design)
-    p = expit(design @ coefficients)
-    U = (successes - totals * p)[:, None] * design
-    return inv @ (U.T @ U) @ inv
 
 
 def _check_rank(design):

@@ -14,7 +14,6 @@ from epinteract.fitting import (
     deviance,
     log_likelihood,
     observed_information,
-    sandwich_covariance,
     score,
 )
 
@@ -175,25 +174,6 @@ class TestCovariances:
     def test_saturated_single_record_zero_robust(self):
         f = ei.fit(np.array([[1.0]]), np.array([3.0]), np.array([4.0]))
         np.testing.assert_allclose(f.cov_robust, 0.0, atol=1e-15)
-        # sandwich: per-cell score is exactly zero at saturation, so B = 0
-        cov = sandwich_covariance(
-            f.coefficients, np.array([[1.0]]), np.array([3.0]), np.array([4.0])
-        )
-        np.testing.assert_allclose(cov, 0.0, atol=1e-15)
-
-    def test_sandwich_near_model_when_correctly_specified(self):
-        rng = np.random.default_rng(8)
-        X = np.array(
-            [[1.0, a, b] for a in (0, 1) for b in (0, 1)] * 500, dtype=float
-        )
-        beta = np.array([0.2, -0.4, 0.5])
-        n = np.full(len(X), 100.0)
-        p = 1 / (1 + np.exp(-(X @ beta)))
-        s = rng.binomial(n.astype(int), p).astype(float)
-        f = ei.fit(X, s, n)
-        cov = sandwich_covariance(f.coefficients, X, s, n)
-        rel = np.linalg.norm(cov - f.cov_model) / np.linalg.norm(f.cov_model)
-        assert rel < 0.10
 
     def test_fit_robust_is_dispersion_times_model(self, fit_full):
         assert np.array_equal(

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 import epinteract as ei
-from epinteract import simci
+from epinteract import cli, simci
 from epinteract.cli import export_draws_csv
 from epinteract.simci import (
     CHUNK,
@@ -674,6 +674,31 @@ class TestExportDrawsCsv:
         export_draws_csv(result, fh)
         assert fh.getvalue() == _reference_draws_csv(result).encode()
 
+    @pytest.mark.parametrize("row_block", [10, 1000])
+    def test_index_widths_at_small_blocks(self, monkeypatch, row_block):
+        # the row digits follow ROW_BLOCK: block 0's bare indices change width
+        # at 10, 100, ..., and the block number reaches three digits at
+        # 100 * ROW_BLOCK; special values straddle each of those boundaries
+        monkeypatch.setattr(cli, "ROW_BLOCK", row_block)
+        cli._index_digits.cache_clear()
+        try:
+            rng = np.random.default_rng(16)
+            big = 100 * row_block
+            columns = [rng.lognormal(0, 3, n) for n in
+                       (big + 1, big + 3, row_block, row_block - 1, 10 * row_block + 7)]
+            half = len(SPECIAL_VALUES) // 2
+            for shift, col in enumerate(columns):
+                for at in 10 ** np.arange(1, len(str(big))):
+                    window = col[at - half:at - half + len(SPECIAL_VALUES)]
+                    window[:] = np.roll(SPECIAL_VALUES, shift)[:len(window)]
+            result = _result_with_draws(columns)
+            fh = io.BytesIO()
+            export_draws_csv(result, fh)
+            assert cli._index_digits().shape == (row_block, len(str(row_block)) - 1)
+        finally:
+            cli._index_digits.cache_clear()
+        assert fh.getvalue() == _reference_draws_csv(result).encode()
+
     def test_non_contiguous_and_float32_draws(self):
         # orjson's numpy path takes only C-contiguous arrays, and float32
         # values must be spelled as the doubles repr(float(v)) sees
@@ -692,9 +717,9 @@ class TestExportDrawsCsv:
 
 def test_import_loads_no_orjson():
     # only a run that writes draws.csv loads orjson and builds the row digit
-    # tables: importing the library or the CLI module must not pay for either
+    # table: importing the library or the CLI module must not pay for either
     code = ("import sys, epinteract.cli as cli; "
-            "print('orjson' in sys.modules, cli._row_digits.cache_info().currsize)")
+            "print('orjson' in sys.modules, cli._index_digits.cache_info().currsize)")
     src = str(Path(ei.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
