@@ -12,7 +12,7 @@ import numpy as np
 import epinteract as ei
 
 data = ei.load_fixture("nguyen2008")
-print(f"{data.n_total} subjects in {len(data.records)} covariate-exposure cells")
+print(f"{data.n_total} subjects in {len(data.cells)} covariate-exposure cells")
 
 dist = ei.covariate_distribution(data)
 print("\ncovariate pattern weights:")

@@ -6,7 +6,6 @@ from .data import (
     CovariateDistribution,
     Dataset,
     InputError,
-    StratumRecord,
     covariate_distribution,
     load_fixture,
 )

@@ -1,9 +1,9 @@
-"""Stratified count data: cell records, datasets, CSV ingestion and the
-empirical covariate distribution used for standardization.
+"""Stratified count data: datasets, CSV ingestion and the empirical
+covariate distribution used for standardization.
 
 A dataset keeps its cells in one integer array, one row per cell. CSV
-ingestion fills that array directly and validates it in bulk; per-cell
-`StratumRecord` objects are built only when `Dataset.records` is read.
+ingestion fills that array directly, and every array is checked in bulk
+against the cell rules.
 """
 
 from __future__ import annotations
@@ -11,13 +11,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
 __all__ = [
-    "StratumRecord",
     "Dataset",
     "CovariateDistribution",
     "covariate_distribution",
@@ -36,40 +34,26 @@ class InputError(ValueError):
     """Malformed or inconsistent input data."""
 
 
-@dataclass(frozen=True)
-class StratumRecord:
-    """One covariate-by-exposure cell: counts of successes out of totals."""
-
-    covariates: tuple[int, ...]
-    exposures: tuple[int, int]
-    successes: int
-    totals: int
-
-    def __post_init__(self):
-        if not all(v in (0, 1) for v in self.covariates):
-            raise InputError(f"covariates must be binary, got {self.covariates}")
-        if len(self.exposures) != 2 or not all(v in (0, 1) for v in self.exposures):
-            raise InputError(f"exposures must be a binary pair, got {self.exposures}")
-        if self.totals < 1:
-            raise InputError(f"totals must be >= 1, got {self.totals}")
-        if not 0 <= self.successes <= self.totals:
-            raise InputError(
-                f"successes must lie in [0, totals], got {self.successes}/{self.totals}"
-            )
-
-
 def _check_cells(cells, k, linenos=None):
-    """Raise StratumRecord's error for the first row of `cells` that it
-    rejects, after "line N: " when `linenos` holds the rows' line numbers."""
+    """Raise an InputError for the first row of `cells` that breaks a cell
+    rule, after "line N: " when `linenos` holds the rows' line numbers. The
+    rules, checked in this order: binary covariates, a binary exposure pair,
+    totals >= 1, and successes in [0, totals]."""
     bits, s, n = cells[:, :k + 2], cells[:, -2], cells[:, -1]
     bad = np.flatnonzero(((bits != 0) & (bits != 1)).any(axis=1) | (n < 1) | (s < 0) | (s > n))
     if bad.size:
         row = cells[bad[0]].tolist()
-        try:
-            StratumRecord(tuple(row[:k]), tuple(row[k:k + 2]), row[-2], row[-1])
-        except InputError as exc:
-            where = "" if linenos is None else f"line {linenos[bad[0]]}: "
-            raise InputError(f"{where}{exc}") from None
+        x, z, (s, n) = tuple(row[:k]), tuple(row[k:k + 2]), row[-2:]
+        if not all(v in (0, 1) for v in x):
+            rule = f"covariates must be binary, got {x}"
+        elif not all(v in (0, 1) for v in z):
+            rule = f"exposures must be a binary pair, got {z}"
+        elif n < 1:
+            rule = f"totals must be >= 1, got {n}"
+        else:
+            rule = f"successes must lie in [0, totals], got {s}/{n}"
+        where = "" if linenos is None else f"line {linenos[bad[0]]}: "
+        raise InputError(where + rule)
 
 
 def _first_appearance(rows):
@@ -85,44 +69,35 @@ def _first_appearance(rows):
     return first[order], group[inverse.reshape(-1)]
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Cells plus covariate labels. Row i of `cells` holds cell i's
-    covariates x1..xK, then z1, z2, successes and totals. Cells with zero
-    totals are simply absent, never stored.
+    """Cells plus covariate labels, `Dataset(cells, covariate_names)`. Row i
+    of `cells` holds cell i's covariates x1..xK, then z1, z2, successes and
+    totals. Cells with zero totals are simply absent, never stored.
 
-    Build it from records, `Dataset(records, covariate_names)`, or from the
-    integer array, `Dataset(cells=..., covariate_names=...)`. Either way
-    every count must be an integer that fits in int64; a record holding a
-    float count such as 2.0 is rejected.
+    `cells` may be any integer array-like of shape (n, K + 4) whose values
+    fit in int64; it is kept as a read-only int64 array. A float count such
+    as 2.0 is rejected.
     """
 
     cells: np.ndarray
-    covariate_names: tuple[str, ...]
+    covariate_names: tuple[str, ...] = ()
 
-    def __init__(self, records=None, covariate_names=(), cells=None):
-        names = tuple(covariate_names)
+    def __post_init__(self):
+        names = tuple(self.covariate_names)
         k = len(names)
-        if cells is None:
-            records = tuple(records or ())
-            for rec in records:
-                if len(rec.covariates) != k:
-                    raise InputError(
-                        f"record has {len(rec.covariates)} covariates, expected {k}"
-                    )
-            cells = [
-                r.covariates + r.exposures + (r.successes, r.totals) for r in records
-            ] or np.empty((0, k + 4), dtype=np.int64)
-            self.__dict__["records"] = records  # the cache of the property below
-        cells = np.array(cells)
+        cells = np.array(self.cells)
         if cells.dtype.kind not in "biu" or cells.ndim != 2 or cells.shape[1] != k + 4:
             raise InputError(
                 f"cells must be integers of shape (n, {k + 4}), "
                 f"got {cells.dtype} {cells.shape}"
             )
-        cells = cells.astype(np.int64, copy=False)
         if not len(cells):
             raise InputError("dataset must contain at least one record")
+        # an unsigned value of 2**63 or more would wrap in the cast below
+        if cells.dtype.kind == "u" and int(cells.max()) >= 2**63:
+            raise InputError(f"cells must fit in int64, got {cells.max()}")
+        cells = cells.astype(np.int64, copy=False)
         _check_cells(cells, k)
         # so that no 64-bit sum of totals can wrap
         if sum(cells[:, -1].tolist()) >= 2**63:
@@ -135,14 +110,6 @@ class Dataset:
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "covariate_names", names)
-
-    @cached_property
-    def records(self) -> tuple[StratumRecord, ...]:
-        k = len(self.covariate_names)
-        return tuple(
-            StratumRecord(tuple(r[:k]), tuple(r[k:k + 2]), r[-2], r[-1])
-            for r in self.cells.tolist()
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):

@@ -465,24 +465,6 @@ def test_well_posed_run_imports_no_scipy(tmp_path):
     assert "scipy.linalg" in scipy_modules
 
 
-def test_csv_to_fit_builds_no_records(tmp_path, monkeypatch, dataset):
-    from epinteract.data import StratumRecord
-
-    src = tmp_path / "data.csv"
-    dataset.to_csv(src)
-    built = []
-    check = StratumRecord.__post_init__
-    monkeypatch.setattr(StratumRecord, "__post_init__",
-                        lambda self: built.append(self) or check(self))
-    for source in (["--input", str(src)], ["--fixture", "nguyen2008"]):
-        rc = run_cli(*source, "--formula", FULL_MODEL, "--draws", "10",
-                     "--out", str(tmp_path / "out"))
-        assert rc == cli.EXIT_OK
-    assert built == []
-    assert len(cli.load_fixture("nguyen2008").records) == 30  # still built on request
-    assert len(built) == 30
-
-
 class TestSimulationStage:
     def test_unfactorizable_covariance_exits_4(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

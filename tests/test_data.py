@@ -5,36 +5,46 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epinteract as ei
-from epinteract.data import InputError, StratumRecord, Dataset
+from epinteract.data import InputError, Dataset
 from epinteract.measures import EXPOSURE_LEVELS
 
 
 class TestStratumRecord:
+    """One stratum record, a row of `Dataset.cells`: the cell rules, no
+    duplicate cells, and counts that fit in int64."""
+
     def test_counts_validated(self):
-        with pytest.raises(InputError):
-            StratumRecord((0, 0), (0, 1), successes=5, totals=4)
-        with pytest.raises(InputError):
-            StratumRecord((0, 0), (0, 1), successes=0, totals=0)
-        with pytest.raises(InputError):
-            StratumRecord((0, 2), (0, 1), successes=1, totals=2)
+        for row, message in [
+            ((0, 0, 0, 1, 5, 4), "successes must lie in [0, totals], got 5/4"),
+            ((0, 0, 0, 1, 0, 0), "totals must be >= 1, got 0"),
+            ((0, 2, 0, 1, 1, 2), "covariates must be binary, got (0, 2)"),
+        ]:
+            with pytest.raises(InputError) as err:
+                Dataset(cells=[row], covariate_names=("x1", "x2"))
+            assert str(err.value) == message
 
     def test_duplicate_cells_rejected(self):
-        rec = StratumRecord((0,), (0, 1), 1, 2)
         with pytest.raises(InputError, match="duplicate"):
-            Dataset(records=(rec, rec), covariate_names=("x1",))
+            Dataset(cells=[(0, 0, 1, 1, 2), (0, 0, 1, 1, 2)], covariate_names=("x1",))
 
-    @pytest.mark.parametrize("successes, totals", [(2.0, 5), (1, 5.0), (1, 2**63)])
+    @pytest.mark.parametrize("successes, totals",
+                             [(2.0, 5), (1, 5.0), (1, 2**63), (2**64 - 1, 5)])
     def test_dataset_takes_only_int64_counts(self, successes, totals):
-        # a record may hold a float or an unbounded int; a dataset stores
-        # its cells as int64 and rejects both
-        rec = StratumRecord((0,), (0, 1), successes, totals)
+        # a float, or an int past int64, makes a float array; a dataset
+        # stores its cells as int64 and rejects it
         with pytest.raises(InputError, match=r"cells must be integers of shape \(n, 5\)"):
-            Dataset(records=(rec,), covariate_names=("x1",))
+            Dataset(cells=[(0, 1, 0, successes, totals)], covariate_names=("x1",))
+        if isinstance(successes, int) and isinstance(totals, int):
+            # as uint64 the value must be named, not wrapped to a negative int64
+            cells = np.array([(0, 1, 0, successes, totals)], dtype=np.uint64)
+            with pytest.raises(InputError) as err:
+                Dataset(cells=cells, covariate_names=("x1",))
+            assert str(err.value) == f"cells must fit in int64, got {max(successes, totals)}"
 
 
 class TestFixture:
     def test_cell_count_and_total(self, dataset):
-        assert len(dataset.records) == 30
+        assert len(dataset.cells) == 30
         assert dataset.n_total == 109
 
     def test_covariate_names(self, dataset):
@@ -57,7 +67,7 @@ class TestCovariateDistribution:
 
     def test_single_pattern(self):
         data = Dataset(
-            records=(StratumRecord((1,), (0, 0), 1, 3),),
+            cells=[(1, 0, 0, 1, 3)],
             covariate_names=("x1",),
         )
         d = ei.covariate_distribution(data)
@@ -72,7 +82,7 @@ class TestCovariateDistribution:
 
     def test_invariant_to_record_order(self, dataset):
         reversed_data = Dataset(
-            records=tuple(reversed(dataset.records)),
+            cells=dataset.cells[::-1],
             covariate_names=dataset.covariate_names,
         )
         assert ei.covariate_distribution(reversed_data).weights == \
@@ -89,8 +99,7 @@ class TestCsv:
     def test_round_trip_without_covariates(self):
         # to_csv writes a dataset with no covariates as a four-column header
         data = Dataset(
-            records=tuple(StratumRecord((), z, 3 + i, 10)
-                          for i, z in enumerate(EXPOSURE_LEVELS)),
+            cells=[(*z, 3 + i, 10) for i, z in enumerate(EXPOSURE_LEVELS)],
             covariate_names=(),
         )
         buf = io.StringIO()
@@ -235,13 +244,13 @@ class TestIngestionParity:
 
 
 def _row_by_row(text):
-    """Reference reader: one StratumRecord per row, as CSV ingestion worked
-    before it became columnar."""
+    """Reference reader: each row checked on its own, as CSV ingestion worked
+    before it became columnar, with its own copy of the cell rules."""
     import csv
 
     reader = csv.reader(io.StringIO(text))
     header = [h.strip() for h in next(reader)]
-    records = []
+    rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -251,17 +260,24 @@ def _row_by_row(text):
             vals = [int(c) for c in row]
         except ValueError as exc:
             raise InputError(f"line {lineno}: non-integer field ({exc})") from None
-        try:
-            records.append(StratumRecord(tuple(vals[:-4]), (vals[-4], vals[-3]),
-                                         vals[-2], vals[-1]))
-        except InputError as exc:
-            raise InputError(f"line {lineno}: {exc}") from None
-    return Dataset(records=tuple(records), covariate_names=tuple(header[:-4]))
+        x, z, s, n = tuple(vals[:-4]), (vals[-4], vals[-3]), vals[-2], vals[-1]
+        if not all(v in (0, 1) for v in x):
+            raise InputError(f"line {lineno}: covariates must be binary, got {x}")
+        if not all(v in (0, 1) for v in z):
+            raise InputError(f"line {lineno}: exposures must be a binary pair, got {z}")
+        if n < 1:
+            raise InputError(f"line {lineno}: totals must be >= 1, got {n}")
+        if not 0 <= s <= n:
+            raise InputError(f"line {lineno}: successes must lie in [0, totals], got {s}/{n}")
+        rows.append(vals)
+    if not rows:
+        raise InputError("dataset must contain at least one record")
+    return Dataset(cells=rows, covariate_names=tuple(header[:-4]))
 
 
 def _outcome(read, text):
     try:
-        return read(text).records
+        return read(text).cells.tolist()
     except InputError as exc:
         return str(exc)
 
@@ -314,14 +330,14 @@ class TestIngestionProperties:
             built = _row_by_row(header + "\n" + "\n".join(lines) + "\n")
         except InputError:
             return  # duplicate cells
-        records = list(built.records)
-        order.shuffle(records)
-        built = Dataset(records=tuple(records), covariate_names=names)
+        rows = built.cells.tolist()
+        order.shuffle(rows)
+        built = Dataset(cells=rows, covariate_names=names)
         buf = io.StringIO()
         built.to_csv(buf)
         read = Dataset.from_csv(io.StringIO(buf.getvalue()))
         assert read == built
-        assert read.records == built.records
+        assert read.cells.tolist() == built.cells.tolist()
         assert read.n_total == built.n_total
         spec = ei.parse_formula("y ~ z1 + z2 + z1:z2" + "".join(f" + {x}" for x in names))
         for a, b in zip(ei.expand_dataset(read, spec), ei.expand_dataset(built, spec)):
@@ -329,4 +345,4 @@ class TestIngestionProperties:
         assert ei.covariate_distribution(read).weights == \
             ei.covariate_distribution(built).weights
         assert list(ei.covariate_distribution(read).weights) == list(
-            dict.fromkeys(r.covariates for r in records))
+            dict.fromkeys(tuple(r[:k]) for r in rows))

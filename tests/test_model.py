@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epinteract as ei
-from epinteract.data import Dataset, StratumRecord
+from epinteract.data import Dataset
 from epinteract.model import ModelSpec, SpecificationError, Term
 
 VARIABLES = ("x1", "x2", "x3", "z1", "z2")
@@ -103,27 +103,24 @@ class TestExpandDataset:
         assert X.shape == (30, 7)
 
     def test_intercept_only_single_record(self):
-        from epinteract.data import Dataset, StratumRecord
-
-        data = Dataset(
-            records=(StratumRecord((0,), (0, 0), 1, 2),), covariate_names=("x1",)
-        )
+        data = Dataset(cells=[(0, 0, 0, 1, 2)], covariate_names=("x1",))
         spec = ModelSpec(terms=(Term("intercept"),))
         X, s, n = ei.expand_dataset(data, spec)
         assert X.tolist() == [[1.0]]
 
     def test_rows_match_build_design_row(self, dataset, spec_full):
         X, _, _ = ei.expand_dataset(dataset, spec_full)
-        for i, rec in enumerate(dataset.records):
+        k = len(dataset.covariate_names)
+        for i, cell in enumerate(dataset.cells.tolist()):
             row = _design_row(
-                rec.exposures, rec.covariates, spec_full, dataset.covariate_names
+                tuple(cell[k:k + 2]), tuple(cell[:k]), spec_full, dataset.covariate_names
             )
             assert np.array_equal(X[i], row)
 
     def test_no_covariates_expand_fit_and_measure(self):
         cells = {(0, 0): (3, 10), (0, 1): (5, 12), (1, 0): (4, 9), (1, 1): (8, 11)}
         data = Dataset(
-            records=tuple(StratumRecord((), z, s, n) for z, (s, n) in cells.items()),
+            cells=[(*z, s, n) for z, (s, n) in cells.items()],
             covariate_names=(),
         )
         spec = ei.parse_formula("y ~ z1 + z2", data.variable_names)
