@@ -144,14 +144,6 @@ def _check_rank(design):
         )
 
 
-def _invert_information(info, design):
-    try:
-        return np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        _check_rank(design)
-        raise SingularDesignError("observed information is singular")
-
-
 def fit(design, successes, totals) -> FitResult:
     """Maximize the grouped binomial log-likelihood by Newton-Raphson.
 
@@ -222,7 +214,10 @@ def fit(design, successes, totals) -> FitResult:
         )
 
     info = observed_information(beta, design, totals)
-    cov_model = _invert_information(info, design)
+    try:  # the design passed _check_rank above
+        cov_model = np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        raise SingularDesignError("observed information is singular") from None
     phi, cov_robust = _dispersion(beta, design, successes, totals, cov_model)
     return FitResult(
         coefficients=beta,

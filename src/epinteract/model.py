@@ -35,37 +35,24 @@ class SpecificationError(ValueError):
 
 @dataclass(frozen=True)
 class Term:
-    """One column of the design matrix.
+    """One column of the design matrix: the product of its variables.
 
-    kind is "intercept", "main" or "product"; variables holds the referenced
-    variable names (none, one, or an unordered pair).
+    No variables is the intercept, one a main effect, and two distinct ones a
+    pairwise product. variables are kept sorted, so (a, b) and (b, a) are the
+    same term.
     """
 
-    kind: str
     variables: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind == "intercept":
-            if self.variables:
-                raise SpecificationError("intercept term takes no variables")
-        elif self.kind == "main":
-            if len(self.variables) != 1:
-                raise SpecificationError("main term takes exactly one variable")
-        elif self.kind == "product":
-            if len(self.variables) != 2 or self.variables[0] == self.variables[1]:
-                raise SpecificationError(
-                    "product term takes two distinct variables"
-                )
-            # canonical order so (a, b) and (b, a) are the same term
-            object.__setattr__(self, "variables", tuple(sorted(self.variables)))
-        else:
-            raise SpecificationError(f"unknown term kind {self.kind!r}")
+        variables = tuple(sorted(self.variables))
+        if len(variables) > 2 or len(set(variables)) < len(variables):
+            raise SpecificationError("product term takes two distinct variables")
+        object.__setattr__(self, "variables", variables)
 
     @property
     def label(self) -> str:
-        if self.kind == "intercept":
-            return "(intercept)"
-        return ":".join(self.variables)
+        return ":".join(self.variables) or "(intercept)"
 
 
 @dataclass(frozen=True)
@@ -75,7 +62,7 @@ class ModelSpec:
     terms: tuple[Term, ...]
 
     def __post_init__(self):
-        n_intercept = sum(1 for t in self.terms if t.kind == "intercept")
+        n_intercept = sum(1 for t in self.terms if not t.variables)
         if n_intercept != 1:
             raise SpecificationError(
                 f"model must contain exactly one intercept term, got {n_intercept}"
@@ -142,7 +129,7 @@ def parse_formula(text: str, header=None) -> ModelSpec:
             raise SpecificationError("formula has '~' but no outcome name")
     else:
         rhs = text
-    terms = [Term("intercept")]
+    terms = [Term()]
     for token in rhs.split("+"):
         token = token.strip()
         if not token:
@@ -155,7 +142,7 @@ def parse_formula(text: str, header=None) -> ModelSpec:
                 f"term {token!r} has more than two factors; only pairwise "
                 "products are supported"
             )
-        terms.append(Term("main" if len(parts) == 1 else "product", tuple(parts)))
+        terms.append(Term(tuple(parts)))
     spec = ModelSpec(terms=tuple(terms))
     if header is not None:
         _check_variables(spec, header)

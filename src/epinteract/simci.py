@@ -82,7 +82,6 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class IntervalEstimate:
-    measure_id: str
     point: float
     draws: np.ndarray  # sorted ascending
     endpoints: dict[float, tuple[float, float]]
@@ -236,15 +235,14 @@ def histogram(draws, n_bins: int):
     # numpy needs n_bins distinct edges: span at least 2 * n_bins ulps of the
     # larger end, so the bins stay distinct even if hi crosses a binade
     hi = max(hi, lo + 2 * n_bins * float(np.spacing(max(abs(lo), abs(hi)))))
-    if (draws[:-1] <= draws[1:]).all():  # sorted, as simulate leaves its draws
-        # np.histogram's own edges; a value on an interior edge counts to the
-        # right, and the last bin is closed
-        edges = np.histogram_bin_edges(draws, bins=n_bins, range=(lo, hi))
-        cuts = np.searchsorted(draws, edges, side="left")
-        cuts[-1] = len(draws)
-        counts = np.diff(cuts)
-    else:
-        counts, edges = np.histogram(draws, bins=n_bins, range=(lo, hi))
+    if not (draws[:-1] <= draws[1:]).all():  # simulate leaves its draws sorted
+        draws = np.sort(draws)
+    # np.histogram's own edges; a value on an interior edge counts to the
+    # right, and the last bin is closed
+    edges = np.histogram_bin_edges(draws, bins=n_bins, range=(lo, hi))
+    cuts = np.searchsorted(draws, edges, side="left")
+    cuts[-1] = len(draws)
+    counts = np.diff(cuts)
     return list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
 
 
@@ -274,8 +272,7 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
     point_values = point.as_dict()
 
     intervals = {
-        mid: IntervalEstimate(measure_id=mid, point=point_values[mid], draws=draws,
-                              endpoints=_endpoints(draws, config.levels))
+        mid: IntervalEstimate(point_values[mid], draws, _endpoints(draws, config.levels))
         for mid, draws in zip(MEASURE_IDS, values)
     }
     return SimulationResult(

@@ -241,6 +241,23 @@ class TestRankScreen:
         for X in designs:
             _check_rank(X)
 
+    def test_singular_information_after_one_rank_check(self, dataset, spec_full, monkeypatch):
+        checks = []
+
+        def spy(design):
+            checks.append(design.shape)
+            return _check_rank(design)
+
+        def singular(info):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(ei.fitting, "_check_rank", spy)
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        X, s, n = ei.expand_dataset(dataset, spec_full)
+        with pytest.raises(SingularDesignError, match="^observed information is singular$"):
+            ei.fit(X, s, n)
+        assert checks == [X.shape]
+
 
 @st.composite
 def grid_csv(draw):

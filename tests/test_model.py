@@ -20,17 +20,23 @@ def _design_row(exposures, covariates, spec, covariate_names=None):
 
 class TestTerm:
     def test_product_variables_canonical(self):
-        assert Term("product", ("z1", "x2")) == Term("product", ("x2", "z1"))
+        assert Term(("z1", "x2")) == Term(("x2", "z1"))
+        assert Term(("z2", "z1")).variables == ("z1", "z2")
 
     def test_product_needs_distinct_variables(self):
-        with pytest.raises(SpecificationError):
-            Term("product", ("z1", "z1"))
+        for variables in (("z1", "z1"), ("x1", "z1", "z2")):
+            with pytest.raises(SpecificationError):
+                Term(variables)
+
+    def test_intercept_has_no_variables(self):
+        assert Term().variables == ()
+        assert Term().label == "(intercept)"
 
     def test_exactly_one_intercept(self):
         with pytest.raises(SpecificationError):
-            ModelSpec(terms=(Term("main", ("z1",)),))
+            ModelSpec(terms=(Term(("z1",)),))
         with pytest.raises(SpecificationError):
-            ModelSpec(terms=(Term("intercept"), Term("intercept")))
+            ModelSpec(terms=(Term(), Term()))
 
 
 class TestBuildDesignRow:
@@ -90,6 +96,7 @@ class TestDesignMatrix:
         ]
         assert X.shape == (len(rows), len(spec.terms))
         assert X.tolist() == expected
+        assert ei.parse_formula("y ~ " + " + ".join(spec.term_labels[1:])) == spec
 
 
 class TestExpandDataset:
@@ -104,7 +111,7 @@ class TestExpandDataset:
 
     def test_intercept_only_single_record(self):
         data = Dataset(cells=[(0, 0, 0, 1, 2)], covariate_names=("x1",))
-        spec = ModelSpec(terms=(Term("intercept"),))
+        spec = ModelSpec(terms=(Term(),))
         X, s, n = ei.expand_dataset(data, spec)
         assert X.tolist() == [[1.0]]
 
@@ -145,7 +152,7 @@ class TestParseFormula:
     def test_simple(self):
         spec = ei.parse_formula("y ~ z1 + z2 + z1:z2")
         assert len(spec.terms) == 4
-        assert spec.terms[0].kind == "intercept"
+        assert spec.terms[0] == Term()
 
     def test_full_model_term_count(self, dataset):
         spec = ei.parse_formula(
@@ -168,7 +175,7 @@ class TestParseFormula:
             with pytest.raises(SpecificationError, match=f"^duplicate term '{label}'$"):
                 ei.parse_formula(text)
         with pytest.raises(SpecificationError, match="^duplicate term 'x1'$"):
-            ModelSpec(terms=(Term("intercept"), Term("main", ("x1",)), Term("main", ("x1",))))
+            ModelSpec(terms=(Term(), Term(("x1",)), Term(("x1",))))
 
     def test_malformed(self):
         with pytest.raises(SpecificationError):
