@@ -5,22 +5,20 @@ Parameter vectors are drawn from N(pi_hat, Sigma_hat) using the fitted
 covariance; each draw is pushed through the measure pipeline and interval
 endpoints are read off the empirical quantiles.
 
-Randomness is counter-based: one Philox-4x64 stream keyed by the seed
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
-With b = ceil(k / 4) counter blocks per draw, draw i reads the 4*b raw words
-that follow counter [i*b, 0, 0, 0], keeps the first k, maps each to the
-midpoint of one of 2**52 equal cells of (0, 1) and applies the inverse
-normal CDF. Draw i therefore depends only on (seed, i): any range of draws
-comes from one random_raw call, and serial, chunked or per-index evaluation
-give bit-identical normals.
-
-The inverse normal CDF is Wichura's PPND16 (Algorithm AS 241, Applied
-Statistics 37, 1988) in numpy, within 8 ulp of scipy.special.ndtri on the
-grid, so a well-posed run imports no scipy.
+Randomness is counter-based: Philox-4x64 streams keyed by the seed (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011). Draw i is
+row i % CHUNK of chunk c = i // CHUNK, whose normals are numpy's Generator
+normals (the ziggurat of Marsaglia & Tsang, J. Stat. Software 5(8), 2000)
+from the stream that starts at counter [0, c, 0, 0], read row by row. The
+first m rows of a chunk do not depend on m, so draw i depends only on
+(seed, i), and serial, chunked, per-index or whole-matrix evaluation give
+bit-identical normals. CHUNK is part of the stream: changing it changes the
+draws.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +42,7 @@ __all__ = [
 ]
 
 JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
-CHUNK = 4096  # draws generated per step; bounds temporaries
+CHUNK = 4096  # draws per Philox stream and per step; part of the stream, bounds temporaries
 # CHUNK must be a multiple of four, so chunked products take the BLAS paths of one whole product
 COVARIANCE_CHOICES = ("robust", "model")  # FitResult.cov_robust or FitResult.cov_model
 # float64 values in the largest array numpy can index; it refuses a larger
@@ -121,78 +119,43 @@ def cholesky(sigma):
     )
 
 
-def _open_unit(raw: np.ndarray) -> np.ndarray:
-    # top 52 bits -> cell midpoint, exact in float64, so never 0.0 or 1.0
-    # (a 53-bit midpoint rounds up to 1.0 for the largest word)
-    return np.multiply(u := np.add(raw >> 12, 0.5), 2.0**-52, out=u)
-
-
-def _rational(coef: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """P(r) / Q(r), rows P and Q of coef highest power first, in two in-place Horner passes."""
-    num, den = coef[:, :1] * r
-    for acc, row in ((num, coef[0]), (den, coef[1])):
-        for c in row[1:-1]:
-            acc += c
-            acc *= r
-        acc += row[-1]
-    num /= den
-    return num
-
-
-def _coefficients(num, den):
-    return np.array([num[::-1], den[::-1]])
-
-
-# AS 241 coefficients, lowest power first: the central region |p - 1/2| <=
-# 0.425 in r = 0.180625 - (p - 1/2)**2, then the tails in r = sqrt(-log(min(p,
-# 1 - p))), shifted by 1.6 up to r = 5 (p ~ exp(-25)) and by 5 beyond
-_CENTRAL = _coefficients(
-    [3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-     3.3430575583588128105e4, 2.5090809287301226727e3],
-    [1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
-     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
-     5.2264952788528545610e3])
-_NEAR_TAIL = _coefficients(
-    [1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
-     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
-     2.27238449892691845833e-2, 7.74545014278341407640e-4],
-    [1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
-     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
-     1.05075007164441684324e-9])
-_FAR_TAIL = _coefficients(
-    [6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
-     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-     2.71155556874348757815e-5, 2.01033439929228813265e-7],
-    [1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
-     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
-     2.04426310338993978564e-15])
-
-
-def _ndtri(p: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF of p strictly inside (0, 1), by AS 241: the
-    central formula on every value, the near tail on the gathered tail (about
-    15%), the far tail where r > 5; x(1 - p) == -x(p) wherever 1 - p is exact."""
-    shape = p.shape
-    p = p.ravel()
-    q = p - 0.5
-    x = q * _rational(_CENTRAL, 0.180625 - q * q)
-    tail = np.flatnonzero(np.abs(q) > 0.425)
-    pt = p[tail]
-    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-    xt = _rational(_NEAR_TAIL, r - 1.6)
-    far = np.flatnonzero(r > 5.0)
-    xt[far] = _rational(_FAR_TAIL, r[far] - 5.0)
-    x[tail] = np.copysign(xt, q[tail])
-    return x.reshape(shape)
-
-
 def _normal_block(seed: int, start: int, count: int, k: int) -> np.ndarray:
-    """Standard normals for draws start .. start+count-1, shape (count, k)."""
-    b = -(-k // 4)  # Philox blocks of four words per draw
-    bits = np.random.Philox(key=seed, counter=[start * b, 0, 0, 0])
-    raw = bits.random_raw(count * 4 * b).reshape(count, 4 * b)[:, :k]
-    return _ndtri(_open_unit(raw))
+    """Standard normals for draws start .. start+count-1, shape (count, k).
+    Chunk c holds draws c * CHUNK .. (c + 1) * CHUNK - 1: numpy's Generator
+    normals from the Philox stream at counter [0, c, 0, 0], row by row."""
+    stop = start + count
+    pieces = []
+    for c in range(start // CHUNK, -(-stop // CHUNK)):
+        first = c * CHUNK
+        normals = np.random.Generator(np.random.Philox(key=seed, counter=[0, c, 0, 0]))
+        rows = normals.standard_normal((min(stop - first, CHUNK), k))
+        pieces.append(rows[max(start - first, 0):])
+    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+
+
+def _normal_chunks(seed: int, n_draws: int, k: int):
+    """Each chunk's normals in turn, a short last chunk padded with its next
+    draws to a multiple of four rows, so that a single row does not go to gemv
+    instead of gemm. With more than one chunk, one helper thread makes chunk
+    c + 1 while the caller works on chunk c: one numpy call per chunk, which
+    runs without the GIL."""
+    def padded(c):
+        count = min(CHUNK, n_draws - c * CHUNK)
+        return _normal_block(seed, c * CHUNK, count + -count % 4, k)
+
+    n_chunks = -(-n_draws // CHUNK)
+    if n_chunks == 1:
+        yield padded(0)
+        return
+    # imported here: concurrent.futures costs about 9 ms cold (it loads logging)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(padded, 0)
+        for c in range(1, n_chunks):
+            U, ahead = ahead.result(), helper.submit(padded, c)
+            yield U
+        yield ahead.result()
 
 
 def draw_parameters(fit: FitResult, config: SimulationConfig, draw_index: int) -> np.ndarray:
@@ -200,9 +163,10 @@ def draw_parameters(fit: FitResult, config: SimulationConfig, draw_index: int) -
     if not 0 <= draw_index < config.n_draws:
         raise ValueError(f"draw_index {draw_index} outside [0, {config.n_draws})")
     L, _ = cholesky(config.covariance(fit))
-    # four rows, as in simulate: a one-row product goes to gemv, not gemm
-    U = _normal_block(config.seed, draw_index, 4, len(fit.coefficients))
-    return fit.coefficients + (U @ L.T)[0]
+    # the aligned four rows of its chunk that hold the draw, as in simulate:
+    # a one-row product goes to gemv, not gemm
+    U = _normal_block(config.seed, draw_index - draw_index % 4, 4, len(fit.coefficients))
+    return fit.coefficients + (U @ L.T)[draw_index % 4]
 
 
 def percentile_interval(draws, level: float):
@@ -259,14 +223,14 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
     values = np.empty((len(MEASURE_IDS), config.n_draws))
     n_clamped = 0
     design = _pattern_design(spec, dist)
-    for start in range(0, config.n_draws, CHUNK):
-        count = min(CHUNK, config.n_draws - start)
-        # a short last chunk is padded with the next draws to a multiple of four
-        # rows, so that a single row does not go to gemv instead of gemm
-        U = _normal_block(config.seed, start, count + -count % 4, len(fit.coefficients))
-        chunk, clamped = batch_measures((fit.coefficients + U @ L.T)[:count], spec, dist, design)
-        values[:, start:start + count] = list(chunk.values())
-        n_clamped += clamped
+    # closing joins the helper thread also when the kernel raises
+    with closing(_normal_chunks(config.seed, config.n_draws, len(fit.coefficients))) as normals:
+        for start, U in zip(range(0, config.n_draws, CHUNK), normals):
+            count = min(CHUNK, config.n_draws - start)
+            chunk, clamped = batch_measures((fit.coefficients + U @ L.T)[:count],
+                                            spec, dist, design)
+            values[:, start:start + count] = list(chunk.values())
+            n_clamped += clamped
     values.sort(axis=1)
     point = measure_set(fit.coefficients, spec, dist, design)
     point_values = point.as_dict()

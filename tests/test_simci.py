@@ -1,17 +1,16 @@
 import csv
 import dataclasses
 import io
-import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtri
 
 import epinteract as ei
 from epinteract import cli, simci
@@ -22,15 +21,15 @@ from epinteract.simci import (
     NotPositiveSemiDefiniteError,
     SimulationConfig,
     SimulationResult,
-    _ndtri,
     _normal_block,
-    _open_unit,
     cholesky,
     draw_parameters,
     histogram,
     percentile_interval,
     simulate,
 )
+
+from conftest import FULL_MODEL
 
 
 class TestCholesky:
@@ -114,10 +113,7 @@ class TestDrawParameters:
         from epinteract.simci import cholesky as chol
 
         L, _ = chol(sigma)
-        k = len(fit_full.coefficients)
-        U = np.empty((config.n_draws, k))
-        for i in range(config.n_draws):
-            U[i] = _normal_block(config.seed, i, 1, k)[0]
+        U = _normal_block(config.seed, 0, config.n_draws, len(fit_full.coefficients))
         draws = fit_full.coefficients + U @ L.T
         se = np.sqrt(np.diag(sigma) / config.n_draws)
         assert np.all(np.abs(draws.mean(axis=0) - fit_full.coefficients) < 3 * se)
@@ -388,7 +384,7 @@ class TestConfig:
 class TestStream:
     @pytest.mark.parametrize("k", [1, 4, 5, 8, 22])
     def test_block_equals_stacked_rows(self, k):
-        for start, count in ((0, 7), (5, 3), (1000, 4)):
+        for start, count in ((0, 7), (5, 3), (1000, 4), (CHUNK - 3, 7), (2 * CHUNK - 1, 2)):
             rows = np.stack(
                 [_normal_block(11, i, 1, k)[0] for i in range(start, start + count)]
             )
@@ -404,16 +400,8 @@ class TestStream:
         unit = dataclasses.replace(
             fit_full, coefficients=np.zeros(k), cov_robust=np.eye(k)
         )
-        seen = []
-        real = simci.batch_measures
-
-        def capture(draws, *args):
-            seen.append(draws.copy())
-            return real(draws, *args)
-
-        monkeypatch.setattr(simci, "batch_measures", capture)
         config = SimulationConfig(n_draws=CHUNK + 3, seed=5)
-        simulate(unit, spec_full, dist, config)
+        seen = _kernel_inputs(monkeypatch, unit, spec_full, dist, config)
         # one kernel call per chunk, none larger than CHUNK rows
         assert len(seen) == -(-config.n_draws // CHUNK)
         assert all(len(chunk) <= CHUNK for chunk in seen)
@@ -456,100 +444,96 @@ class TestStream:
         assert np.isfinite(z).all()
         assert abs(z.mean()) < 0.01 and abs(z.std() - 1.0) < 0.01
 
-    def test_extreme_words_stay_inside_unit_interval(self):
-        raw = np.array([0, 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
-        u = _open_unit(raw)
-        assert np.all((u > 0.0) & (u < 1.0))
-        assert u[0] == 1.0 - u[-1]  # the grid is symmetric about 1/2
-        assert np.isfinite(ndtri(u)).all()
+    # draws 0 and 4096 at k = 8: the first rows of the streams at counters
+    # [0, 0, 0, 0] and [0, 1, 0, 0]. The draw index is a literal, so a new
+    # CHUNK moves draw 4096 to another row or stream and fails here, as does
+    # any change to numpy's Philox or to its Generator normals (the ziggurat)
+    GOLDEN = {
+        (0, 0): [0.15929546600623282, -1.7741885208017214, 1.3265118818830892,
+                 1.2048090979493156, -0.03910371209917862, -0.5194192970029236,
+                 -1.1132959094272785, -1.7673803015404892],
+        (0, 4096): [0.9828757014629881, 0.582339371282191, 0.10606681482062819,
+                    -0.6266500874014005, 0.7382778373614048, 0.4022594861713014,
+                    0.3847799269685375, -0.7735401644008555],
+        (2**128 - 1, 0): [0.6313842391058808, -1.1589078121430747, -1.4343318739191726,
+                          1.0477275891445663, -0.37472399567574516, -0.15903597179428336,
+                          -0.22552666007565395, -0.2356943314440165],
+        (2**128 - 1, 4096): [0.633489672896794, 1.8807830357078021, 0.3062685637249928,
+                             -1.08976109360025, -0.015273734507027334, -0.7506095007331434,
+                             -0.11788811698962157, 0.9162317912387097],
+    }
+
+    @pytest.mark.parametrize("seed, draw", list(GOLDEN), ids=str)
+    def test_golden_normals(self, seed, draw):
+        np.testing.assert_array_equal(_normal_block(seed, draw, 1, 8)[0], self.GOLDEN[seed, draw])
+
+    @pytest.mark.parametrize("n_draws", [10, CHUNK + 1])
+    def test_run_is_a_prefix_of_a_longer_run(self, fit_full, spec_full, dist, monkeypatch,
+                                              n_draws):
+        # the fixture's robust covariance: an N-draw run's parameter rows are
+        # the first N rows of any longer run, bit for bit, so a run can grow N
+        # and keep the draws it already has
+        short, longer = (
+            np.concatenate(_kernel_inputs(monkeypatch, fit_full, spec_full, dist,
+                                          SimulationConfig(n_draws=n, seed=21)))
+            for n in (n_draws, n_draws + CHUNK + 3))
+        assert short.shape == (n_draws, len(fit_full.coefficients))
+        np.testing.assert_array_equal(short, longer[:n_draws])
+
+    @pytest.mark.parametrize("n_draws, helpers", [(CHUNK, 0), (CHUNK + 1, 1), (3 * CHUNK, 1)])
+    def test_helper_thread_only_for_many_chunks_and_joined(
+            self, fit_full, spec_full, dist, monkeypatch, n_draws, helpers):
+        # a one-chunk run starts no thread; a longer one makes its normals one
+        # chunk ahead on a single helper thread, gone when simulate returns
+        before = threading.active_count()
+        during = []
+        real = simci.batch_measures
+
+        def count_threads(draws, *args):
+            during.append(threading.active_count())
+            return real(draws, *args)
+
+        monkeypatch.setattr(simci, "batch_measures", count_threads)
+        simulate(fit_full, spec_full, dist, SimulationConfig(n_draws=n_draws, seed=4))
+        assert during == [before + helpers] * -(-n_draws // CHUNK)
+        assert threading.active_count() == before
+
+    def test_helper_thread_joined_when_the_kernel_raises(
+            self, fit_full, spec_full, dist, monkeypatch):
+        # the kernel fails on the second chunk while the helper makes the third;
+        # the helper is joined even while the caller still holds the traceback,
+        # and with it simulate's frame
+        before = threading.active_count()
+        calls = []
+        real = simci.batch_measures
+
+        def fail_second(draws, *args):
+            calls.append(threading.active_count())
+            if len(calls) == 2:
+                raise RuntimeError("kernel failed")
+            return real(draws, *args)
+
+        monkeypatch.setattr(simci, "batch_measures", fail_second)
+        with pytest.raises(RuntimeError, match="kernel failed") as raised:
+            simulate(fit_full, spec_full, dist, SimulationConfig(n_draws=3 * CHUNK, seed=4))
+        assert calls == [before + 1] * 2
+        assert threading.active_count() == before
+        assert raised.traceback[-1].name == "fail_second"
 
 
+def _kernel_inputs(monkeypatch, fit, spec, dist, config):
+    """The blocks of parameter rows simulate hands to the measure kernel, in order."""
+    seen = []
+    real = simci.batch_measures
 
-def _grid_ulps(words):
-    """Distance of simci's inverse normal from scipy's ndtri, in ulps of
-    ndtri, at the grid uniforms of the given raw words."""
-    p = _open_unit(np.asarray(words, dtype=np.uint64))
-    ref = ndtri(p)
-    return np.abs(_ndtri(p) - ref) / np.spacing(np.abs(ref))
+    def capture(draws, *args):
+        seen.append(draws.copy())
+        return real(draws, *args)
 
-
-class TestInverseNormal:
-    """simci's numpy AS 241 against scipy.special.ndtri on the uniform grid."""
-
-    WORDS = np.random.default_rng(241).integers(0, 2**64, size=10**6, dtype=np.uint64)
-
-    def test_random_grid_words_within_8_ulp(self):
-        assert _grid_ulps(self.WORDS).max() <= 8
-
-    def test_extreme_words_within_8_ulp(self):
-        assert _grid_ulps([0, 1, 2**63, 2**64 - 1]).max() <= 8
-
-    @pytest.mark.parametrize("switch", [0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0)])
-    def test_both_sides_of_each_formula_switch(self, switch):
-        # |p - 1/2| = 0.425 separates the central formula from the tails, and
-        # min(p, 1 - p) = exp(-25) (r = 5) the near tail from the far tail
-        cell = int(switch * 2**52)
-        words = np.arange(cell - 1000, cell + 1000, dtype=np.uint64) << np.uint64(12)
-        p = _open_unit(words)
-        assert p[0] < switch < p[-1]
-        assert _grid_ulps(words).max() <= 8
-
-    def test_exact_antisymmetry(self):
-        p = _open_unit(self.WORDS)
-        np.testing.assert_array_equal(_ndtri(1.0 - p), -_ndtri(p))
-
-
-def _reference_rational(coef, r):
-    """P(r) / Q(r) in one broadcast (2, n) Horner pass over both rows."""
-    acc = np.multiply.outer(coef[:, 0], r)
-    for c in coef.T[1:-1]:
-        acc += c[:, None]
-        acc *= r
-    acc += coef[:, -1][:, None]
-    return acc[0] / acc[1]
-
-
-def _reference_ndtri(p):
-    """AS 241 with both tail formulas on the whole tail, picked by np.where."""
-    q = p - 0.5
-    x = q * _reference_rational(simci._CENTRAL, 0.180625 - q * q)
-    tail = np.flatnonzero(np.abs(q) > 0.425)
-    pt = p[tail]
-    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-    xt = np.where(r <= 5.0, _reference_rational(simci._NEAR_TAIL, r - 1.6),
-                  _reference_rational(simci._FAR_TAIL, r - 5.0))
-    x[tail] = np.copysign(xt, q[tail])
-    return x
-
-
-class TestInverseNormalBits:
-    """The two-pass rational functions and the far tail evaluated only where
-    r > 5 change no bit of the broadcast evaluation."""
-
-    # min(p, 1 - p) < exp(-25), so r > 5, for words below about 2.6e8 and
-    # their mirrors near 2**64; these run across that switch on both sides
-    LOW = np.arange(0, 2**28, 2**10, dtype=np.uint64)
-    FAR_WORDS = np.concatenate([LOW, ~LOW])
-
-    @pytest.mark.parametrize("words", [
-        np.random.Philox(key=241).random_raw(2 * 10**6),
-        np.array([0, 1, 2, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
-        FAR_WORDS,
-    ], ids=["philox", "extreme", "far-tail"])
-    def test_equals_the_broadcast_evaluation(self, words):
-        p = _open_unit(words)
-        np.testing.assert_array_equal(_ndtri(p).view(np.uint64),
-                                      _reference_ndtri(p).view(np.uint64))
-
-    def test_far_tail_words_reach_both_tail_formulas(self):
-        p = _open_unit(self.FAR_WORDS)
-        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
-        assert (r > 5.0).sum() > 1000 and (r <= 5.0).sum() > 1000
-
-    def test_open_unit_is_the_cell_midpoint(self):
-        words = np.random.Philox(key=52).random_raw(10**5)
-        expected = ((words >> np.uint64(12)) + 0.5) * 2.0**-52
-        np.testing.assert_array_equal(_open_unit(words), expected)
+    with monkeypatch.context() as patch:
+        patch.setattr(simci, "batch_measures", capture)
+        simulate(fit, spec, dist, config)
+    return seen
 
 
 def _reference_draws_csv(result):
@@ -702,14 +686,32 @@ class TestExportDrawsCsv:
         assert fh.getvalue() == _reference_draws_csv(result).encode()
 
 
-def test_import_loads_no_orjson():
-    # only a run that writes draws.csv loads orjson and builds the row digit
-    # table: importing the library or the CLI module must not pay for either
-    code = ("import sys, epinteract.cli as cli; "
-            "print('orjson' in sys.modules, cli._index_digits.cache_info().currsize)")
+def _fresh_stdout(code, *argv):
+    """stdout of python -c code in a fresh interpreter that imports this epinteract."""
     src = str(Path(ei.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.split() == ["False", "0"]
+    return done.stdout.split()
+
+
+def test_import_loads_no_orjson():
+    # only a run that writes draws.csv loads orjson and builds the row digit
+    # table, and only a run of more than one chunk loads concurrent.futures:
+    # importing the library or the CLI module must not pay for any of them
+    code = ("import sys, epinteract.cli as cli; "
+            "print('orjson' in sys.modules, cli._index_digits.cache_info().currsize, "
+            "'concurrent.futures' in sys.modules)")
+    assert _fresh_stdout(code) == ["False", "0", "False"]
+
+
+@pytest.mark.parametrize("n_draws, loaded", [(1000, "False"), (CHUNK + 1, "True")])
+def test_only_a_run_of_many_chunks_loads_concurrent_futures(tmp_path, n_draws, loaded):
+    # concurrent.futures costs about 9 ms to import cold: a one-chunk run,
+    # such as the default 1000 draws, starts no helper thread and skips it
+    code = ("import sys; from epinteract import cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, 'concurrent.futures' in sys.modules)")
+    assert _fresh_stdout(code, "--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                         "--draws", str(n_draws), "--seed", "1", "--format", "json",
+                         "--out", str(tmp_path)) == ["0", loaded]
