@@ -46,7 +46,6 @@ from .simci import (
     cholesky,
     draw_parameters,
     histogram,
-    percentile_interval,
     simulate,
 )
 

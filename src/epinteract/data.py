@@ -56,6 +56,16 @@ def _check_cells(cells, k, linenos=None):
         raise InputError(where + rule)
 
 
+def _check_names(names):
+    """Raise an InputError unless the covariate names are distinct and none
+    is an exposure's, so that each name picks out its own column."""
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise InputError(f"covariate name {name!r} appears twice")
+        if name in EXPOSURE_NAMES:
+            raise InputError(f"covariate name {name!r} is an exposure's name")
+
+
 def _first_appearance(rows):
     """Group the equal rows of a 0/1 array: the index of each group's first
     row, in order of first appearance, and the group number of every row."""
@@ -85,6 +95,7 @@ class Dataset:
 
     def __post_init__(self):
         names = tuple(self.covariate_names)
+        _check_names(names)
         k = len(names)
         cells = np.array(self.cells)
         if cells.dtype.kind not in "biu" or cells.ndim != 2 or cells.shape[1] != k + 4:
@@ -255,6 +266,7 @@ class CovariateDistribution:
         if abs(total - 1.0) > 1e-12:
             raise InputError(f"weights must sum to 1, got {total!r}")
         if self.covariate_names is not None:
+            _check_names(self.covariate_names)
             width = len(self.covariate_names)
             for x in self.weights:
                 if len(x) != width:

@@ -35,7 +35,6 @@ __all__ = [
     "cholesky",
     "draw_parameters",
     "simulate",
-    "percentile_interval",
     "histogram",
     "NotPositiveSemiDefiniteError",
     "COVARIANCE_CHOICES",
@@ -45,8 +44,8 @@ JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 CHUNK = 4096  # draws per Philox stream and per step; part of the stream, bounds temporaries
 # CHUNK must be a multiple of four, so chunked products take the BLAS paths of one whole product
 COVARIANCE_CHOICES = ("robust", "model")  # FitResult.cov_robust or FitResult.cov_model
-# float64 values in the largest array numpy can index; it refuses a larger
-# one with a ValueError, not a MemoryError
+# float64 values in the largest array numpy can index, the bound of simulate's
+# (5, n_draws) values; numpy refuses a larger one with a ValueError, not a MemoryError
 MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
@@ -62,8 +61,8 @@ class SimulationConfig:
     covariance_choice: str = "robust"
 
     def __post_init__(self):
-        if self.n_draws < 2:
-            raise ValueError("n_draws must be >= 2")
+        if not 2 <= self.n_draws <= MAX_FLOATS // len(MEASURE_IDS):
+            raise ValueError(f"n_draws must lie in [2, {MAX_FLOATS // len(MEASURE_IDS)}]")
         if not 0 <= self.seed < 2**128:
             raise ValueError("seed must lie in [0, 2**128)")
         if not all(0.0 < lv < 1.0 for lv in self.levels):
@@ -134,14 +133,16 @@ def _normal_block(seed: int, start: int, count: int, k: int) -> np.ndarray:
 
 
 def _normal_chunks(seed: int, n_draws: int, k: int):
-    """Each chunk's normals in turn, a short last chunk padded with its next
+    """(start, count, normals) for each chunk in turn: its first draw, its
+    number of draws, and its normals, a short last chunk padded with its next
     draws to a multiple of four rows, so that a single row does not go to gemv
     instead of gemm. With more than one chunk, one helper thread makes chunk
     c + 1 while the caller works on chunk c: one numpy call per chunk, which
     runs without the GIL."""
     def padded(c):
-        count = min(CHUNK, n_draws - c * CHUNK)
-        return _normal_block(seed, c * CHUNK, count + -count % 4, k)
+        start = c * CHUNK
+        count = min(CHUNK, n_draws - start)
+        return start, count, _normal_block(seed, start, count + -count % 4, k)
 
     n_chunks = -(-n_draws // CHUNK)
     if n_chunks == 1:
@@ -169,19 +170,9 @@ def draw_parameters(fit: FitResult, config: SimulationConfig, draw_index: int) -
     return fit.coefficients + (U @ L.T)[draw_index % 4]
 
 
-def percentile_interval(draws, level: float):
-    """Equal-tailed empirical interval with linear order-statistic
-    interpolation."""
-    draws = np.asarray(draws, dtype=float)
-    if draws.size < 2:
-        raise ValueError("need at least two draws for a percentile interval")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    return _endpoints(draws, (level,))[level]
-
-
 def _endpoints(draws: np.ndarray, levels) -> dict[float, tuple[float, float]]:
-    """percentile_interval at every level, from one np.quantile call."""
+    """The equal-tailed empirical interval at every level, with linear
+    order-statistic interpolation, from one np.quantile call."""
     ends = np.quantile(draws, [(1.0 + side * level) / 2.0
                                for level in levels for side in (-1, 1)]).tolist()
     return {level: (ends[2 * j], ends[2 * j + 1]) for j, level in enumerate(levels)}
@@ -217,16 +208,12 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
     if not fit.converged:
         raise ValueError("cannot simulate from a non-converged fit")
     L, jitter = cholesky(config.covariance(fit))
-    if len(MEASURE_IDS) * config.n_draws > MAX_FLOATS:
-        raise MemoryError(f"{config.n_draws} draws of {len(MEASURE_IDS)} measures exceed "
-                          "the largest array numpy can index")
     values = np.empty((len(MEASURE_IDS), config.n_draws))
     n_clamped = 0
     design = _pattern_design(spec, dist)
     # closing joins the helper thread also when the kernel raises
     with closing(_normal_chunks(config.seed, config.n_draws, len(fit.coefficients))) as normals:
-        for start, U in zip(range(0, config.n_draws, CHUNK), normals):
-            count = min(CHUNK, config.n_draws - start)
+        for start, count, U in normals:
             chunk, clamped = batch_measures((fit.coefficients + U @ L.T)[:count],
                                             spec, dist, design)
             values[:, start:start + count] = list(chunk.values())

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import re
@@ -257,6 +258,39 @@ class TestErrorPaths:
         assert rc == cli.EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith(f"error: --bins {bins}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unindexable_draws_refused_before_the_fit(self, tmp_path, capsys, monkeypatch):
+        # the (5, 2**62) draws lie past numpy's index range: refused with the
+        # other arguments, never after the fit
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model was fitted before --draws was checked")
+        monkeypatch.setattr(cli, "fit", refuse)
+        out = tmp_path / "out"
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                     "--draws", str(2**62), "--out", str(out))
+        assert rc == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulation config: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names, message", [
+        ("x1,x1,x3", "covariate name 'x1' appears twice"),
+        ("x1,z1,x3", "covariate name 'z1' is an exposure's name"),
+    ])
+    def test_covariate_names_must_pick_out_one_column(self, tmp_path, capsys, dataset,
+                                                       names, message):
+        # a repeated name, or an exposure's, used to fit another column than
+        # the one it heads, without a word
+        body = io.StringIO()
+        dataset.to_csv(body)
+        table = tmp_path / "renamed.csv"
+        table.write_text(names + body.getvalue()[len("x1,x2,x3"):])
+        out = tmp_path / "out"
+        rc = run_cli("--input", str(table), "--formula", "y ~ z1 + z2 + z1:z2 + x1 + x3",
+                     "--out", str(out))
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: input stage: {message}\n"
         assert not out.exists()
 
     def test_largest_seed_accepted(self, tmp_path):

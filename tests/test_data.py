@@ -41,6 +41,15 @@ class TestStratumRecord:
                 Dataset(cells=cells, covariate_names=("x1",))
             assert str(err.value) == f"cells must fit in int64, got {max(successes, totals)}"
 
+    @pytest.mark.parametrize("names, message", [
+        (("x1", "x1"), "covariate name 'x1' appears twice"),
+        (("z2", "x2"), "covariate name 'z2' is an exposure's name"),
+    ])
+    def test_covariate_names_distinct_and_not_exposures(self, names, message):
+        with pytest.raises(InputError) as err:
+            Dataset(cells=[(0, 0, 0, 1, 1, 2)], covariate_names=names)
+        assert str(err.value) == message
+
 
 class TestFixture:
     def test_cell_count_and_total(self, dataset):
@@ -79,6 +88,11 @@ class TestCovariateDistribution:
     def test_name_count_must_match_pattern_width(self):
         with pytest.raises(InputError, match="1 covariate names"):
             ei.CovariateDistribution(weights={(0, 1): 1.0}, covariate_names=("x1",))
+
+    @pytest.mark.parametrize("names", [("z1",), ("x1", "x1")])
+    def test_names_distinct_and_not_exposures(self, names):
+        with pytest.raises(InputError, match="covariate name"):
+            ei.CovariateDistribution(weights={(0,) * len(names): 1.0}, covariate_names=names)
 
     def test_invariant_to_record_order(self, dataset):
         reversed_data = Dataset(

@@ -20,12 +20,13 @@ from epinteract.simci import (
     IntervalEstimate,
     NotPositiveSemiDefiniteError,
     SimulationConfig,
+    MAX_FLOATS,
     SimulationResult,
+    _endpoints,
     _normal_block,
     cholesky,
     draw_parameters,
     histogram,
-    percentile_interval,
     simulate,
 )
 
@@ -124,27 +125,23 @@ class TestDrawParameters:
 
 class TestPercentileInterval:
     def test_four_draws_half_level(self):
-        lo, hi = percentile_interval(np.array([10.0, 20.0, 30.0, 40.0]), 0.50)
+        lo, hi = _endpoints(np.array([10.0, 20.0, 30.0, 40.0]), (0.50,))[0.50]
         assert (lo, hi) == pytest.approx((17.5, 32.5))
 
     def test_thousand_draws(self):
         draws = np.arange(1.0, 1001.0)
-        lo, hi = percentile_interval(draws, 0.95)
+        lo, hi = _endpoints(draws, (0.95,))[0.95]
         assert (lo, hi) == pytest.approx((25.975, 975.025))
 
     def test_constant_draws(self):
-        lo, hi = percentile_interval(np.full(10, 3.3), 0.95)
+        lo, hi = _endpoints(np.full(10, 3.3), (0.95,))[0.95]
         assert lo == hi == 3.3
-
-    def test_too_few_draws(self):
-        with pytest.raises(ValueError):
-            percentile_interval(np.array([1.0]), 0.5)
 
     def test_matches_explicit_interpolation(self):
         rng = np.random.default_rng(0)
         draws = np.sort(rng.normal(size=101))
         for level in (0.5, 0.8, 0.95):
-            lo, hi = percentile_interval(draws, level)
+            lo, hi = _endpoints(draws, (level,))[level]
             # independent order-statistic interpolation
             for p, got in (((1 - level) / 2, lo), ((1 + level) / 2, hi)):
                 h = (len(draws) - 1) * p
@@ -324,15 +321,6 @@ class TestSimulate:
             np.testing.assert_array_equal(coef, draws[i])
             assert ei.measure_set(coef, spec_full, dist).rcor == rcor[i]
 
-    def test_endpoints_equal_percentile_interval(self, fit_full, spec_full, dist):
-        # one np.quantile call for every level gives each level's own endpoints
-        levels = (0.1, 0.5, 0.8, 0.95, 0.999)
-        sim = simulate(fit_full, spec_full, dist,
-                       SimulationConfig(n_draws=1001, seed=3, levels=levels))
-        for mid in ei.MEASURE_IDS:
-            for level in levels:
-                assert sim[mid].endpoints[level] == percentile_interval(sim[mid].draws, level)
-
     def test_unconverged_fit_rejected(self, fit_full, spec_full, dist):
         bad = dataclasses.replace(fit_full, converged=False)
         with pytest.raises(ValueError):
@@ -355,6 +343,11 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SimulationConfig(n_draws=1)
+        # the (5, n_draws) values must be an array numpy can index; only the
+        # configs are built, so nothing is allocated
+        with pytest.raises(ValueError, match=rf"n_draws must lie in \[2, {MAX_FLOATS // 5}\]"):
+            SimulationConfig(n_draws=MAX_FLOATS // 5 + 1)
+        assert SimulationConfig(n_draws=MAX_FLOATS // 5).n_draws == MAX_FLOATS // 5
         with pytest.raises(ValueError):
             SimulationConfig(levels=(0.95, 0.5))
         with pytest.raises(ValueError):
