@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 
@@ -173,11 +175,17 @@ class Dataset:
         if header[-4:] != tail:
             raise InputError(f"CSV header must end with {tail}, got {header}")
         cov_names = tuple(header[:-4])
-        cells = _plain_cells("".join(lines[reader.line_num:]), len(header))
-        if cells is not None:
-            linenos, error = range(2, len(cells) + 2), None
-        else:
-            cells, linenos, error = _csv_cells(reader, len(header))
+        body = lines[reader.line_num:]
+        try:  # numpy's C reader; a body it refuses, or cells the dataset refuses, go row by row
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy 1.x reads "3.0" as 3, with a warning
+                cells = np.loadtxt(body, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+            # int() refuses a field over 4300 digits (csv one over 131072 chars) that numpy reads
+            if max(map(len, body)) <= 4300:
+                return cls(cells=cells, covariate_names=cov_names)
+        except (ValueError, Warning):
+            pass
+        cells, linenos, error = _csv_cells(reader, len(header))
         # a row-by-row reader stops at the first bad row, whatever is wrong
         # with it; rows after an unparsable one are never read
         _check_cells(cells, len(cov_names), linenos)
@@ -197,28 +205,6 @@ class Dataset:
         else:
             with open(target, "w", newline="", encoding="utf-8") as fh:
                 _write(fh)
-
-
-def _plain_cells(body: str, width: int):
-    """The rows of a CSV body as an (n, width) integer array when the body
-    is plain: every line holds `width` fields of 1 to 18 digits and no blank
-    line comes before the last row. None for any other body."""
-    body = body.rstrip("\n")
-    if not body or not body.isascii():
-        return None
-    chars = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    # every character below "0" is taken for a separator here; the layout
-    # check below rejects any that is not the right "," or "\n"
-    seps = np.flatnonzero(chars < ord("0"))
-    lengths = np.diff(seps, prepend=-1, append=len(chars)) - 1
-    if (chars.max() > ord("9") or lengths.min() < 1 or lengths.max() > 18
-            or (len(seps) + 1) % width):
-        return None
-    layout = np.append(chars[seps], ord("\n")).reshape(-1, width)
-    if (layout[:, :-1] != ord(",")).any() or (layout[:, -1] != ord("\n")).any():
-        return None
-    values = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",")
-    return values.reshape(-1, width)
 
 
 def _csv_cells(reader, width: int):
@@ -262,7 +248,9 @@ class CovariateDistribution:
     covariate_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        total = sum(self.weights.values())
+        if not all(0 <= w <= 1 for w in self.weights.values()):
+            raise InputError("weights must lie in [0, 1]")
+        total = math.fsum(self.weights.values())
         if abs(total - 1.0) > 1e-12:
             raise InputError(f"weights must sum to 1, got {total!r}")
         if self.covariate_names is not None:

@@ -91,6 +91,17 @@ def random_risk_table(rng, n_strata):
     return ei.RiskTable(values=values), ei.CovariateDistribution(weights=weights)
 
 
+def many_patterns(n=100_000, k=17):
+    """A dataset of n cells of one subject each, with n distinct patterns of
+    k binary covariates. Added one by one, its n weights of 1/n miss 1 by
+    about 2e-12."""
+    rng = np.random.default_rng(0)
+    x = (np.arange(n)[:, None] >> np.arange(k)) & 1
+    z, s = rng.integers(0, 2, size=(n, 2)), rng.integers(0, 2, size=(n, 1))
+    cells = np.hstack([x, z, s, np.ones_like(s)])
+    return ei.Dataset(cells=cells, covariate_names=tuple(f"x{i + 1}" for i in range(k)))
+
+
 def gen_wide_module():
     """The benchmark's seeded wide-strata generator, perfbench/gen_wide.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "gen_wide.py"

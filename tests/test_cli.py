@@ -15,7 +15,7 @@ from epinteract.measures import MEASURE_IDS
 from epinteract.simci import (COVARIANCE_CHOICES, NotPositiveSemiDefiniteError,
                               SimulationConfig, simulate)
 
-from conftest import FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL
+from conftest import FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL, many_patterns
 
 
 def run_cli(*argv):
@@ -103,6 +103,14 @@ class TestRun:
         assert rc == 0
         bundle = json.loads((out / "report.json").read_text())
         assert bundle["measures"]["RCOR"]["point"] == pytest.approx(8.85, abs=0.02)
+
+    def test_many_covariate_patterns(self, tmp_path):
+        # 1e5 weights of 1e-5, whose plain float sum misses 1 by 2e-12
+        path = tmp_path / "many.csv"
+        many_patterns().to_csv(path)
+        rc = run_cli("--input", str(path), "--formula", "y ~ z1 + z2 + z1:z2 + x1 + x2",
+                     "--draws", "2", "--format", "json", "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_OK
 
     def test_deterministic_outputs(self, tmp_path):
         outs = []

@@ -72,14 +72,16 @@ def _tables(draw):
 def _mutated_fixture(draw):
     """The bundled CSV with CRLF line ends, a byte-order mark, or up to three
     short stretches replaced by a quote, a NUL, a 0xFF byte, a long run of
-    digits or a separator."""
+    digits, a separator, a carriage return, a space, a tab, a comment sign,
+    a float or a no-break space."""
     data = FIXTURE
     if draw(st.booleans()):
         data = data.replace(b"\n", b"\r\n")
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(data)))
         j = draw(st.integers(i, min(len(data), i + 3)))
-        piece = draw(st.sampled_from([b'"', b"\x00", b"\xff", b"9" * 25, b",", b"\n", b""]))
+        piece = draw(st.sampled_from([b'"', b"\x00", b"\xff", b"9" * 25, b",", b"\n", b"",
+                                      b"\r", b" ", b"\t", b"#", b"3.0", b"\xc2\xa0"]))
         data = data[:i] + piece + data[j:]
     if draw(st.booleans()):
         data = b"\xef\xbb\xbf" + data

@@ -1,12 +1,17 @@
 import io
+from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import epinteract as ei
+from epinteract import data as data_module
 from epinteract.data import InputError, Dataset
 from epinteract.measures import EXPOSURE_LEVELS
+
+from conftest import many_patterns
 
 
 class TestStratumRecord:
@@ -93,6 +98,22 @@ class TestCovariateDistribution:
     def test_names_distinct_and_not_exposures(self, names):
         with pytest.raises(InputError, match="covariate name"):
             ei.CovariateDistribution(weights={(0,) * len(names): 1.0}, covariate_names=names)
+
+    def test_many_patterns_sum_to_one(self):
+        # a plain float sum of the 1e5 weights reads 0.9999999999980838
+        dist = ei.covariate_distribution(many_patterns())
+        assert len(dist.weights) == 100_000
+
+    @pytest.mark.parametrize("weights", [
+        {(0,): float("nan")},
+        {(0,): float("inf"), (1,): float("-inf")},
+        {(0,): 0.5, (1,): float("nan"), (2,): 0.5},
+        {(0,): 1.5, (1,): -0.5},
+    ])
+    def test_weights_lie_in_the_unit_interval(self, weights):
+        with pytest.raises(InputError) as err:
+            ei.CovariateDistribution(weights=weights)
+        assert str(err.value) == "weights must lie in [0, 1]"
 
     def test_invariant_to_record_order(self, dataset):
         reversed_data = Dataset(
@@ -244,11 +265,26 @@ class TestIngestionParity:
             Dataset.from_csv(io.StringIO(HEADER + f"0,0,0,0,1,2\n0,0,0,1,1,{2**63}\n"))
 
     def test_csv_module_errors_are_input_errors(self):
-        huge = "1" * 200_000
-        with pytest.raises(InputError, match="line 3: field larger than field limit"):
-            Dataset.from_csv(io.StringIO(HEADER + f"0,0,0,0,1,2\n0,0,0,1,1,{huge}\n"))
+        for huge in ("1" * 200_000, "0" * 200_000 + "1"):  # numpy reads the second as 1
+            with pytest.raises(InputError, match="line 3: field larger than field limit"):
+                Dataset.from_csv(io.StringIO(HEADER + f"0,0,0,0,1,2\n0,0,0,1,1,{huge}\n"))
         with pytest.raises(InputError, match="line 1: field larger"):
             Dataset.from_csv(io.StringIO(huge + "\n"))
+
+    @pytest.mark.parametrize("spell", [
+        lambda raw: raw,
+        lambda raw: raw.replace(b"\n", b"\r\n"),
+        lambda raw: b"\xef\xbb\xbf" + raw,
+    ], ids=["lf", "crlf", "bom"])
+    def test_valid_csv_is_checked_once_and_not_read_row_by_row(self, tmp_path, dataset, spell):
+        path = tmp_path / "d.csv"
+        path.write_bytes(spell(resources.files("epinteract.fixtures")
+                               .joinpath("nguyen2008.csv").read_bytes()))
+        patch = mock.patch.object
+        with patch(data_module, "_check_cells", wraps=data_module._check_cells) as check, \
+                patch(data_module, "_csv_cells", wraps=data_module._csv_cells) as rows:
+            assert Dataset.from_csv(path) == dataset
+        assert (check.call_count, rows.call_count) == (1, 0)
 
     def test_path_and_text_agree(self, tmp_path, dataset):
         path = tmp_path / "d.csv"
@@ -297,7 +333,8 @@ def _outcome(read, text):
 
 
 _FIELDS = st.sampled_from(
-    ["0", "1", "1", "0", "2", "-1", "7", " 1", "+1", "1_0", "", "x", "00", "-0", "3.0"]
+    ["0", "1", "1", "0", "2", "-1", "7", " 1", "+1", "1_0", "", "x", "00", "-0", "3.0",
+     "1e3", "\t1", "\xa01", "\uff11", '"1"', "#1", "nan", "0" * 4300 + "1"]
 )
 
 
@@ -327,12 +364,18 @@ class TestIngestionProperties:
             if data.draw(st.booleans()):
                 fields = fields[:-1]
             lines[i] = ",".join(fields)
+        if data.draw(st.booleans()):  # one field too many on every row
+            lines = [line + "," + data.draw(_FIELDS) for line in lines]
         if data.draw(st.booleans()):
-            lines.insert(data.draw(st.integers(0, len(lines))), "")
+            blank = data.draw(st.sampled_from(["", " ", ","]))
+            lines.insert(data.draw(st.integers(0, len(lines))), blank)
         header = ",".join([f"x{i + 1}" for i in range(k)] + ["z1", "z2", "successes", "totals"])
         text = header + "\n" + "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
         expected = _outcome(_row_by_row, text)
         assert _outcome(lambda t: Dataset.from_csv(io.StringIO(t)), text) == expected
+        for eol in ("\r\n", "\r"):  # read as from a path, CRLF and CR give the LF outcome
+            spelled = io.StringIO(text.replace("\n", eol), newline="")
+            assert _outcome(Dataset.from_csv, spelled) == expected
 
     @given(table=_tables(), order=st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
