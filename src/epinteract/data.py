@@ -71,14 +71,25 @@ def _check_names(names):
 def _first_appearance(rows):
     """Group the equal rows of a 0/1 array: the index of each group's first
     row, in order of first appearance, and the group number of every row."""
-    # eight columns to a byte; unique(axis=0) sorts the short packed rows
-    # many times faster than the int64 rows
-    rows = np.packbits(rows.astype(bool), axis=1)
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
+    # eight columns to a byte and eight bytes to a big-endian word (at least
+    # one, so that zero columns form one group); a stable sort by the words
+    # puts each group's rows together, its first row first
+    packed = np.packbits(rows.astype(bool), axis=1)
+    width = 8 * max(1, -(-packed.shape[1] // 8))
+    words = np.zeros((len(rows), width), np.uint8)
+    words[:, :packed.shape[1]] = packed
+    words = words.view(">u8")
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    firsts = order[starts]  # each group's first row, groups in sorted order
+    rank = np.argsort(firsts)
+    number = np.empty_like(rank)
+    number[rank] = np.arange(len(rank))
     group = np.empty_like(order)
-    group[order] = np.arange(len(order))
-    return first[order], group[inverse.reshape(-1)]
+    group[order] = number[np.cumsum(starts) - 1]
+    return firsts[rank], group
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +224,8 @@ def _csv_cells(reader, width: int):
     and the error for it is returned rather than raised."""
     rows, linenos, error = [], [], None
     try:
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the row's last line; a quoted field may span lines
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != width:

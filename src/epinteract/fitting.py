@@ -5,9 +5,12 @@ comes in two flavours: the inverse observed information, and an
 over-dispersion-adjusted version scaled by deviance/df (the quasi-binomial
 adjustment).
 
-Everything runs on numpy. scipy.linalg is imported only when the numpy rank
-screen cannot rule out a rank-deficient design, to name the redundant
-column by pivoted QR.
+Newton computes the fitted risks once per coefficient vector, and the score,
+the information, the separation check and the deviance all read them.
+
+Everything runs on numpy. The rank screen takes the least eigenvalue of the
+Gram matrix X'X; scipy.linalg is imported only when that screen cannot
+certify full rank, to name the redundant column by pivoted QR.
 """
 
 from __future__ import annotations
@@ -68,28 +71,20 @@ def xlogy(x, y):
         return np.where(x == 0, 0.0, x * np.log(y))
 
 
-def log_likelihood(coefficients, design, successes, totals):
-    """Grouped binomial log-likelihood (binomial coefficients omitted)."""
-    p = expit(design @ coefficients)
+def _log_likelihood(p, successes, totals):
     return float(np.sum(xlogy(successes, p) + xlogy(totals - successes, 1.0 - p)))
 
 
-def score(coefficients, design, successes, totals):
-    """Gradient of the log-likelihood: X' (s - n p)."""
-    p = expit(design @ coefficients)
+def _score(p, design, successes, totals):
     return design.T @ (successes - totals * p)
 
 
-def observed_information(coefficients, design, totals):
-    """Negative Hessian at `coefficients`: X' W X with w_i = n_i p_i (1 - p_i)."""
-    p = expit(design @ coefficients)
+def _information(p, design, totals):
     w = totals * p * (1.0 - p)
     return (design * w[:, None]).T @ design
 
 
-def deviance(coefficients, design, successes, totals):
-    """Residual deviance against the saturated grouped model."""
-    p = expit(design @ coefficients)
+def _deviance(p, successes, totals):
     mu = totals * p
     return float(
         2.0
@@ -102,12 +97,33 @@ def deviance(coefficients, design, successes, totals):
     )
 
 
-def _dispersion(coefficients, design, successes, totals, inv):
-    """(phi, phi * inv) with phi = deviance / df; with df <= 0, (NaN, 0 * inv)."""
+def log_likelihood(coefficients, design, successes, totals):
+    """Grouped binomial log-likelihood (binomial coefficients omitted)."""
+    return _log_likelihood(expit(design @ coefficients), successes, totals)
+
+
+def score(coefficients, design, successes, totals):
+    """Gradient of the log-likelihood: X' (s - n p)."""
+    return _score(expit(design @ coefficients), design, successes, totals)
+
+
+def observed_information(coefficients, design, totals):
+    """Negative Hessian at `coefficients`: X' W X with w_i = n_i p_i (1 - p_i)."""
+    return _information(expit(design @ coefficients), design, totals)
+
+
+def deviance(coefficients, design, successes, totals):
+    """Residual deviance against the saturated grouped model."""
+    return _deviance(expit(design @ coefficients), successes, totals)
+
+
+def _dispersion(p, design, successes, totals, inv):
+    """(phi, phi * inv) with phi = deviance / df, the deviance at the fitted
+    risks p; with df <= 0, (NaN, 0 * inv)."""
     df = design.shape[0] - design.shape[1]
     if df <= 0:
         return float("nan"), 0.0 * inv
-    phi = deviance(coefficients, design, successes, totals) / df
+    phi = _deviance(p, successes, totals) / df
     with np.errstate(over="ignore"):  # a separated fit's inverse may reach 1e303
         return phi, phi * inv
 
@@ -121,11 +137,19 @@ def _check_rank(design):
         )
     # The verdict is pivoted QR's below. It flags pivot r only when
     # |R_rr| <= tol, and then the trailing block bounds sigma_min by
-    # sqrt(k) * tol. Unpivoted R has the design's column norms and singular
-    # values, so a sigma_min clear of that bound by 4x needs no scipy.
-    R = np.linalg.qr(design, mode="r")
-    tol = max(n, k) * np.finfo(float).eps * np.linalg.norm(R, axis=0).max(initial=0.0)
-    if k and np.linalg.svd(R, compute_uv=False)[-1] > 4.0 * np.sqrt(k) * tol:
+    # sqrt(k) * tol, so a sigma_min clear of that bound by 4x needs no scipy.
+    # sigma_min^2 is the least eigenvalue of G = X'X. The computed G is off
+    # by at most gamma_n |X|'|X| entrywise, a PSD matrix whose 2-norm is at
+    # most its trace, trace G; eigvalsh's eigenvalues are exact for a matrix
+    # within a small multiple of k * eps * ||G|| <= k * eps * trace G of the
+    # computed G. By Weyl's inequality the computed lambda_min is thus within
+    # slack of sigma_min^2 (eps for the unit roundoff doubles gamma_n, which
+    # covers the rounding of the trace; 10 is the multiple).
+    G = design.T @ design  # numpy hands X'X to syrk
+    eps = np.finfo(float).eps
+    tol = max(n, k) * eps * np.sqrt(np.diag(G).max(initial=0.0))
+    slack = (n * eps / (1.0 - n * eps) + 10 * k * eps) * np.trace(G)
+    if k and np.linalg.eigvalsh(G)[0] - slack > (4.0 * np.sqrt(k) * tol) ** 2:
         return
     # QR with pivoting: the first rank-deficient pivot names the column that
     # is linearly dependent on its predecessors
@@ -168,18 +192,20 @@ def fit(design, successes, totals) -> FitResult:
             np.clip(np.log(pooled / (1.0 - pooled)) if 0 < pooled < 1 else 0.0, -10, 10)
         )
 
-    ll = log_likelihood(beta, design, successes, totals)
+    # one risk vector per coefficient vector: p is always expit(design @ beta)
+    p = expit(design @ beta)
+    ll = _log_likelihood(p, successes, totals)
     converged = False
     message = "iteration cap reached"
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        g = score(beta, design, successes, totals)
+        g = _score(p, design, successes, totals)
         if np.max(np.abs(g)) < SCORE_TOL:
             converged = True
             message = "score criterion met"
             iterations -= 1
             break
-        info = observed_information(beta, design, totals)
+        info = _information(p, design, totals)
         try:
             step = np.linalg.solve(info, g)
         except np.linalg.LinAlgError:
@@ -189,7 +215,8 @@ def fit(design, successes, totals) -> FitResult:
         scale = 1.0
         for _ in range(MAX_HALVINGS):
             cand = beta + scale * step
-            cand_ll = log_likelihood(cand, design, successes, totals)
+            cand_p = expit(design @ cand)
+            cand_ll = _log_likelihood(cand_p, successes, totals)
             if cand_ll >= ll - 1e-12:
                 break
             scale *= 0.5
@@ -197,14 +224,12 @@ def fit(design, successes, totals) -> FitResult:
             message = "step-halving failed to improve the log-likelihood"
             break
         delta = scale * step
-        beta = beta + delta
-        ll = cand_ll
+        beta, p, ll = cand, cand_p, cand_ll  # cand is beta + delta
         if np.max(np.abs(delta)) < STEP_TOL:
             converged = True
             message = "coefficient change below tolerance"
             break
 
-    p = expit(design @ beta)
     if np.any(np.abs(beta) > SEPARATION_COEF) or (not converged and (
             np.any(p > 1.0 - SEPARATION_PROB) or np.any(p < SEPARATION_PROB))):
         converged = False
@@ -213,12 +238,12 @@ def fit(design, successes, totals) -> FitResult:
             "coefficients diverged"
         )
 
-    info = observed_information(beta, design, totals)
+    info = _information(p, design, totals)
     try:  # the design passed _check_rank above
         cov_model = np.linalg.inv(info)
     except np.linalg.LinAlgError:
         raise SingularDesignError("observed information is singular") from None
-    phi, cov_robust = _dispersion(beta, design, successes, totals, cov_model)
+    phi, cov_robust = _dispersion(p, design, successes, totals, cov_model)
     return FitResult(
         coefficients=beta,
         cov_model=cov_model,

@@ -117,22 +117,24 @@ def _pattern_design(spec: ModelSpec, dist: CovariateDistribution):
     """The design at z = (1, 1) for every covariate pattern, split into the
     terms with no exposure, with z1 only and with z2 only: three (columns, D)
     pairs, D of shape (len(columns), S); then the column of z1:z2 (None
-    without that term) and the pattern weights (S,)."""
+    without that term), each design column's largest |entry| (k,) and the
+    pattern weights (S,). At z = (1, 1) every term is at its largest, so
+    |eta| <= sum_j |beta_j| * colmax_j at every exposure level."""
     patterns = dist.patterns
     T = design_matrix(np.ones((len(patterns), 2)), patterns, spec, dist.covariate_names)
     exposures = [tuple(v for v in t.variables if v in EXPOSURE_NAMES) for t in spec.terms]
     z1, z2 = EXPOSURE_NAMES
     groups = [[j for j, e in enumerate(exposures) if e == g] for g in ((), (z1,), (z2,))]
     j12 = exposures.index(EXPOSURE_NAMES) if EXPOSURE_NAMES in exposures else None
-    w = np.array([dist.weights[x] for x in patterns])
-    return [(g, T[:, g].T) for g in groups], j12, w
+    w = np.fromiter(dist.weights.values(), float, len(patterns))
+    return [(g, T[:, g].T) for g in groups], j12, np.abs(T).max(axis=0), w
 
 
 def _predictors(block, design, out=None):
     """-eta of the coefficient rows `block` (m, k), shape (4, m, S) in
     EXPOSURE_LEVELS x row x pattern order and written to `out` when given,
     and each row's RCOR, exp(beta12) * sum(w) (m,)."""
-    [(c0, D0), (c1, D1), (c2, D2)], j12, w = design
+    [(c0, D0), (c1, D1), (c2, D2)], j12, _, w = design
     nb = -block  # rounding is symmetric, so products with -beta give -eta exactly
     Q = np.empty((4, len(block), len(w))) if out is None else out
     np.matmul(nb[:, c0], D0, out=Q[0])
@@ -165,29 +167,41 @@ def _marginal(pr, qr):
     )
 
 
-def _measures(Q, w, rcor_=None):
+def _measures(Q, w, rcor_=None, scan=True, work=None):
     """The kernel: all five measures from a block Q = -eta (4, m, S), which
     is overwritten, the weights w (S,) and each row's RCOR (m,), or None to
-    take the contrast. A row with a predictor beyond +-LOGIT_CLAMP is clipped
-    and takes the contrast of its clipped predictors. Returns the measures
-    (5, m) in MEASURE_IDS order, the population risks and their complements
-    (4, m) each, the risks (4, m, S) and the per-row clamp flags (m,)."""
+    take the contrast. With `scan`, a row with a predictor beyond
+    +-LOGIT_CLAMP is clipped and takes the contrast of its clipped
+    predictors; without it, the caller has ruled such rows out. `work`
+    (6, m, S), allocated when not given, receives the risks and the RCRR
+    quotients. Returns the measures (5, m) in MEASURE_IDS order, the
+    population risks and their complements (4, m) each, the risks (4, m, S)
+    and the per-row clamp flags (m,)."""
     clamped = np.zeros(Q.shape[1], dtype=bool)
-    if Q.min() < -LOGIT_CLAMP or Q.max() > LOGIT_CLAMP:  # one scan per block
+    if scan and (Q.min() < -LOGIT_CLAMP or Q.max() > LOGIT_CLAMP):  # one scan per block
         clamped = (Q.min(axis=(0, 2)) < -LOGIT_CLAMP) | (Q.max(axis=(0, 2)) > LOGIT_CLAMP)
         np.clip(Q, -LOGIT_CLAMP, LOGIT_CLAMP, out=Q)
     if rcor_ is None:
         rcor_ = _contrast(Q, w)
     elif clamped.any():
         rcor_ = np.where(clamped, _contrast(Q, w), rcor_)
+    P, R = np.split(np.empty((6, *Q.shape[1:])) if work is None else work, [4])
     np.exp(Q, out=Q)  # e = exp(-eta), in place
-    P = 1.0 + Q
+    np.add(1.0, Q, out=P)
     np.divide(1.0, P, out=P)  # risks 1 / (1 + e)
     Q *= P  # 1 - P, without cancellation
-    rcrr_ = ((P[3] / P[1]) / (P[2] / P[0])) @ w
+    np.divide(P[3], P[1], out=R[0])
+    np.divide(P[2], P[0], out=R[1])
+    rcrr_ = np.divide(R[0], R[1], out=R[0]) @ w
     pr, qr = P @ w, Q @ w  # population risks and their complements
     values = np.stack([rcor_, rcrr_, *_marginal(pr, qr)])
     return values, pr, qr, P, clamped
+
+
+# a block's rows may reach the clamp only when their bound sum_j |beta_j| *
+# colmax_j does; the margin is far wider than the rounding of -eta, which is
+# within a few k * eps of that bound
+CLAMP_BOUND = LOGIT_CLAMP * (1.0 - 1e-9)
 
 
 def _blocks(B, design):
@@ -195,10 +209,12 @@ def _blocks(B, design):
     `_pattern_design`, in blocks of a multiple of four rows (about
     BLOCK_ELEMENTS // (4 * S) rows). Yields, per block, its first row
     `start` and the kernel's outputs (values, pr, qr, P, clamped) for the
-    block's rows of B."""
-    w = design[-1]
+    block's rows of B. A block whose coefficient bound is clear of
+    LOGIT_CLAMP skips the kernel's clamp scan; a NaN bound scans."""
+    colmax, w = design[-2:]
     step = 4 * max(1, BLOCK_ELEMENTS // (16 * len(w)))
-    buffer = np.empty((4, min(step, len(B) + -len(B) % 4), len(w)))  # reused by every block
+    # predictors, risks and RCRR quotients, reused by every block
+    buffer = np.empty((10, min(step, len(B) + -len(B) % 4), len(w)))
     for start in range(0, len(B), step):
         block = B[start:start + step]
         m = len(block)
@@ -210,8 +226,10 @@ def _blocks(B, design):
         # rows after the last group of four in another order.
         if m % 4:
             block = np.vstack([block, np.zeros((4 - m % 4, B.shape[1]))])
-        Q, rcor_ = _predictors(block, design, buffer[:, :len(block)])
-        values, pr, qr, P, clamped = _measures(Q, w, rcor_)
+        scan = not (np.abs(block) @ colmax).max() < CLAMP_BOUND
+        view = buffer[:, :len(block)]
+        Q, rcor_ = _predictors(block, design, view[:4])
+        values, pr, qr, P, clamped = _measures(Q, w, rcor_, scan, view[4:])
         yield start, values[:, :m], pr[:, :m], qr[:, :m], P[:, :m], clamped[:m]
 
 
@@ -235,7 +253,7 @@ def _table_measures(table: RiskTable, dist: CovariateDistribution):
     P = np.array([[table.risk(z, x) for x in patterns] for z in EXPOSURE_LEVELS])
     if not ((P >= 0.0) & (P <= 1.0)).all():
         raise ValueError("risk table holds a risk that is not a number in [0, 1]")
-    w = np.array([dist.weights[x] for x in patterns])
+    w = np.fromiter(dist.weights.values(), float, len(patterns))
     with np.errstate(divide="ignore"):
         Q = np.log((1.0 - P) / P)[:, None]  # -eta; risks of 0 and 1 give -+inf
     values, pr, qr, _, clamped = _measures(Q, w)

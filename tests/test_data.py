@@ -4,7 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import epinteract as ei
 from epinteract import data as data_module
@@ -158,6 +159,45 @@ class TestCsv:
         text = "x1,z1,z2,successes,totals\n0,0,0,3,2\n"
         with pytest.raises(InputError, match="line 2"):
             Dataset.from_csv(io.StringIO(text))
+
+    def test_quoted_line_break_counts_as_a_line(self):
+        # the first row's quoted field spans lines 2 and 3, so the bad row
+        # is on line 5 of the file, though it is the fourth CSV row
+        text = 'x1,z1,z2,successes,totals\n"0\n",0,0,1,2\n1,0,0,1,2\n1,0,1,9,2\n'
+        with pytest.raises(InputError) as err:
+            Dataset.from_csv(io.StringIO(text))
+        assert str(err.value) == "line 5: successes must lie in [0, totals], got 9/2"
+
+
+def first_appearance_reference(rows):
+    """Plain-Python grouping: each distinct row tuple numbered in order of
+    first appearance."""
+    groups = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        groups.setdefault(row, i)
+    number = {row: g for g, row in enumerate(groups)}
+    return list(groups.values()), [number[row] for row in map(tuple, rows.tolist())]
+
+
+@st.composite
+def zero_one_rows(draw):
+    """Rows drawn from a pool of at most four 0/1 rows, so that repeats are
+    common at any width."""
+    k = draw(st.sampled_from([0, 1, 7, 8, 9, 64, 65, 70]))
+    pool = draw(hnp.arrays(np.int64, (draw(st.integers(1, 4)), k), elements=st.integers(0, 1)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    return pool[picks]
+
+
+class TestFirstAppearance:
+    @given(zero_one_rows())
+    @example(np.zeros((1, 70), np.int64))  # a single row
+    @example(np.ones((5, 65), np.int64))  # all rows equal
+    @example(np.zeros((3, 0), np.int64))  # zero columns form one group
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_python(self, rows):
+        first, group = data_module._first_appearance(rows)
+        assert (first.tolist(), group.tolist()) == first_appearance_reference(rows)
 
 
 class TestEncoding:

@@ -530,9 +530,9 @@ class TestBlockedBatch:
         B = self.draws(fit_full, 47)
         kernel, sizes = ei.measures._measures, []
 
-        def recording(eta, w, rcor_):
+        def recording(eta, w, rcor_, *args):
             sizes.append(eta.shape[1])
-            return kernel(eta, w, rcor_)
+            return kernel(eta, w, rcor_, *args)
 
         monkeypatch.setattr(ei.measures, "_measures", recording)
         self.batch(B, spec_full, dist, monkeypatch, rows)
@@ -553,6 +553,66 @@ class TestBlockedBatch:
         # only the (5, n) result grows, by 40 bytes a row; evaluating all rows
         # at once grew by about 650 bytes a row here
         assert peak(40_000) - peak(10_000) < 30_000 * 64
+
+
+class TestClampBound:
+    """A block whose bound sum_j |beta_j| * colmax_j is clear of LOGIT_CLAMP
+    skips the kernel's clamp scan; no value and no clamp count may show it."""
+
+    @staticmethod
+    def wide_draws():
+        gen_wide = gen_wide_module()
+        data = ei.Dataset(cells=gen_wide.generate(1), covariate_names=gen_wide.COVARIATE_NAMES)
+        spec = ei.parse_formula(gen_wide.FORMULA, data.variable_names)
+        beta = ei.fit(*ei.expand_dataset(data, spec)).coefficients
+        B = beta + np.random.default_rng(21).normal(0, 0.05, size=(61, len(beta)))
+        return B, spec, ei.covariate_distribution(data)
+
+    def test_forced_scan_gives_the_same_bits(self, fit_full, spec_full, dist, monkeypatch):
+        rng = np.random.default_rng(20)
+        cases = [(fit_full.coefficients + rng.normal(0, 0.5, size=(1001, 8)), spec_full, dist),
+                 self.wide_draws()]
+        kernel, scans = ei.measures._measures, []
+
+        def recording(Q, w, rcor_, scan, work):
+            scans.append(scan)
+            return kernel(Q, w, rcor_, scan, work)
+
+        monkeypatch.setattr(ei.measures, "_measures", recording)
+        for B, spec, d in cases:
+            scans.clear()
+            values, n_clamped = ei.measures.batch_measures(B, spec, d)
+            assert n_clamped == 0
+            assert not any(scans)  # the bound ruled every block's scan out
+            with monkeypatch.context() as m:
+                m.setattr(ei.measures, "CLAMP_BOUND", -np.inf)
+                scans.clear()
+                scanned, scanned_clamped = ei.measures.batch_measures(B, spec, d)
+                assert all(scans)
+            assert scanned_clamped == 0
+            for mid in ei.MEASURE_IDS:
+                np.testing.assert_array_equal(values[mid], scanned[mid])
+
+    def test_one_row_past_the_clamp_is_clamped_and_counted(self, fit_full, spec_full, dist):
+        B = fit_full.coefficients + np.random.default_rng(22).normal(0, 0.1, size=(20, 8))
+        B[5, 0] = LOGIT_CLAMP + 10  # one block of 20 rows, one of them past the clamp
+        values, n_clamped = ei.measures.batch_measures(B, spec_full, dist)
+        assert n_clamped == 1
+        ms = ei.measure_set(B[5], spec_full, dist)
+        assert ms.clamped
+        assert [values[mid][5] for mid in ei.MEASURE_IDS] == list(ms.as_dict().values())
+
+    def test_bound_reads_the_column_maxima(self):
+        # the constructor accepts a covariate of 2: x1 = 2 doubles beta_x1's
+        # share of eta, so a bound that took covariates as 0/1 would miss it
+        dist = CovariateDistribution(weights={(0,): 0.5, (2,): 0.5}, covariate_names=("x1",))
+        spec = ei.parse_formula("y ~ z1 + z2 + z1:z2 + x1", ("x1", "z1", "z2"))
+        beta = np.array([0.0, 0.0, 0.0, 0.0, 0.6 * LOGIT_CLAMP])
+        assert ei.measure_set(beta, spec, dist).clamped
+        assert ei.measures.batch_measures(beta[None], spec, dist)[1] == 1
+        table = ei.risk_table(beta, spec, dist)
+        assert table.clamped
+        assert table.risk((0, 0), (2,)) == pytest.approx(1.0 - ei.measures.RISK_CLAMP, abs=1e-15)
 
 
 class TestLogOddsPrecision:
