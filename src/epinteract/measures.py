@@ -9,11 +9,14 @@ Formulas hold no term beyond a pairwise product, so the linear predictor
 (log-odds) is eta(z, x) = eta00(x) + z1*d1(x) + z2*d2(x) + z1*z2*beta12:
 three products of one design at z = (1, 1), and RCOR = exp(beta12)*sum(w).
 One kernel takes -eta; with e = exp(-eta) the risks are p = 1/(1 + e) and
-1 - p = e*p, which keeps full precision as risks approach 1. Point
-estimates and draws share the same padded blocks, so no value depends on
-the blocking. A row with a predictor beyond +-LOGIT_CLAMP is clipped there
-and its RCOR, like a risk table's, is the weighted per-stratum contrast.
-The last bits of a value depend on numpy's SIMD exp and the BLAS kernel.
+1 - p = e*p, which keeps full precision as risks approach 1. It runs on
+blocks of rows, PATTERN_TILE patterns at a time so that each pass reads
+from cache, and sums over patterns add up tile by tile in pattern order.
+Point estimates and draws share the same padded blocks, so no value
+depends on the row blocking. A row with a predictor beyond +-LOGIT_CLAMP is
+clipped there and its RCOR, like a risk table's, is the weighted
+per-stratum contrast. The last bits of a value depend on numpy's SIMD exp,
+the BLAS kernel and, past one tile, the tiling.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ LOGIT_CLAMP = float(np.log((1.0 - RISK_CLAMP) / RISK_CLAMP))
 # batch_measures evaluates draws in blocks of about this many risks (1 MB of
 # float64), so its memory does not grow with the number of draws
 BLOCK_ELEMENTS = 2**17
+# the kernel takes the patterns this many at a time, so that a block's
+# predictors, risks and RCRR quotients stay in a core's L2 cache
+PATTERN_TILE = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +120,12 @@ class MeasureSet:
 
 
 def _pattern_design(spec: ModelSpec, dist: CovariateDistribution):
-    """The design at z = (1, 1) for every covariate pattern, split into the
-    terms with no exposure, with z1 only and with z2 only: three (columns, D)
-    pairs, D of shape (len(columns), S); then the column of z1:z2 (None
-    without that term), each design column's largest |entry| (k,) and the
-    pattern weights (S,). At z = (1, 1) every term is at its largest, so
-    |eta| <= sum_j |beta_j| * colmax_j at every exposure level."""
+    """The design at z = (1, 1): the columns of the terms with no exposure,
+    with z1 only and with z2 only; the tiles, each a slice of at most
+    PATTERN_TILE patterns, the groups' designs D (len(columns), tile width)
+    and weights; the column of z1:z2 (None without that term); each column's
+    largest |entry| per tile (k, tiles) and the weights (S,). At z = (1, 1)
+    every term is largest, so |eta| <= sum_j |beta_j| * colmax_j in a tile."""
     patterns = dist.patterns
     T = design_matrix(np.ones((len(patterns), 2)), patterns, spec, dist.covariate_names)
     exposures = [tuple(v for v in t.variables if v in EXPOSURE_NAMES) for t in spec.terms]
@@ -127,26 +133,25 @@ def _pattern_design(spec: ModelSpec, dist: CovariateDistribution):
     groups = [[j for j, e in enumerate(exposures) if e == g] for g in ((), (z1,), (z2,))]
     j12 = exposures.index(EXPOSURE_NAMES) if EXPOSURE_NAMES in exposures else None
     w = np.fromiter(dist.weights.values(), float, len(patterns))
-    return [(g, T[:, g].T) for g in groups], j12, np.abs(T).max(axis=0), w
+    cuts = [slice(i, i + PATTERN_TILE) for i in range(0, len(w), PATTERN_TILE)]
+    tiles = [(s, [T[s, g].T for g in groups], w[s]) for s in cuts]
+    colmax = np.stack([np.abs(T[s]).max(axis=0) for s in cuts], axis=1)
+    return groups, tiles, j12, colmax, w
 
 
-def _predictors(block, design, out=None):
-    """-eta of the coefficient rows `block` (m, k), shape (4, m, S) in
-    EXPOSURE_LEVELS x row x pattern order and written to `out` when given,
-    and each row's RCOR, exp(beta12) * sum(w) (m,)."""
-    [(c0, D0), (c1, D1), (c2, D2)], j12, _, w = design
-    nb = -block  # rounding is symmetric, so products with -beta give -eta exactly
-    Q = np.empty((4, len(block), len(w))) if out is None else out
-    np.matmul(nb[:, c0], D0, out=Q[0])
-    d1, d2 = nb[:, c1] @ D1, nb[:, c2] @ D2
+def _predictors(parts, beta12, D, V):
+    """-eta at one tile's patterns, with D from `_pattern_design`, of the
+    rows whose negated column groups are `parts` and z1:z2 coefficients
+    beta12 (m,), into V[:4] in EXPOSURE_LEVELS x row x pattern order."""
+    Q, d1, d2 = V[:4], V[4], V[5]
+    np.matmul(parts[0], D[0], out=Q[0])
+    np.matmul(parts[1], D[1], out=d1)
+    np.matmul(parts[2], D[2], out=d2)
     np.add(Q[0], d2, out=Q[1])
     np.add(Q[0], d1, out=Q[2])
-    beta12 = np.zeros(len(block)) if j12 is None else block[:, j12]
     d1 += d2  # grouped so that swapping z1 and z2 gives the same bits
     d1 -= beta12[:, None]
     np.add(Q[0], d1, out=Q[3])
-    with np.errstate(over="ignore"):  # beta12 > 709 only in a clamped row
-        return Q, np.exp(beta12) * w.sum()
 
 
 def _contrast(Q, w):
@@ -167,76 +172,94 @@ def _marginal(pr, qr):
     )
 
 
-def _measures(Q, w, rcor_=None, scan=True, work=None):
-    """The kernel: all five measures from a block Q = -eta (4, m, S), which
-    is overwritten, the weights w (S,) and each row's RCOR (m,), or None to
-    take the contrast. With `scan`, a row with a predictor beyond
-    +-LOGIT_CLAMP is clipped and takes the contrast of its clipped
-    predictors; without it, the caller has ruled such rows out. `work`
-    (6, m, S), allocated when not given, receives the risks and the RCRR
-    quotients. Returns the measures (5, m) in MEASURE_IDS order, the
-    population risks and their complements (4, m) each, the risks (4, m, S)
-    and the per-row clamp flags (m,)."""
-    clamped = np.zeros(Q.shape[1], dtype=bool)
-    if scan and (Q.min() < -LOGIT_CLAMP or Q.max() > LOGIT_CLAMP):  # one scan per block
-        clamped = (Q.min(axis=(0, 2)) < -LOGIT_CLAMP) | (Q.max(axis=(0, 2)) > LOGIT_CLAMP)
+def _kernel(V, w, scan, contrast, clamped):
+    """The kernel on one tile of weights w (St,), from -eta in V[:4] of V
+    (10, m, St), which then holds 1 - P, the risks P and RCRR quotients. With
+    `scan`, a row beyond +-LOGIT_CLAMP is clipped and flagged in `clamped`
+    (m,); without, the caller has ruled such rows out. Returns the weighted
+    sums (10, m) of 1 - P, P, RCRR and, with `contrast`, the contrast, or 0."""
+    Q, P, R = V[:4], V[4:8], V[8:]
+    if scan and (Q.min() < -LOGIT_CLAMP or Q.max() > LOGIT_CLAMP):  # one scan per tile
+        clamped |= (Q.min(axis=(0, 2)) < -LOGIT_CLAMP) | (Q.max(axis=(0, 2)) > LOGIT_CLAMP)
         np.clip(Q, -LOGIT_CLAMP, LOGIT_CLAMP, out=Q)
-    if rcor_ is None:
-        rcor_ = _contrast(Q, w)
-    elif clamped.any():
-        rcor_ = np.where(clamped, _contrast(Q, w), rcor_)
-    P, R = np.split(np.empty((6, *Q.shape[1:])) if work is None else work, [4])
+    sums = np.empty((10, Q.shape[1]))
+    sums[9] = _contrast(Q, w) if contrast else 0.0
     np.exp(Q, out=Q)  # e = exp(-eta), in place
     np.add(1.0, Q, out=P)
     np.divide(1.0, P, out=P)  # risks 1 / (1 + e)
     Q *= P  # 1 - P, without cancellation
     np.divide(P[3], P[1], out=R[0])
     np.divide(P[2], P[0], out=R[1])
-    rcrr_ = np.divide(R[0], R[1], out=R[0]) @ w
-    pr, qr = P @ w, Q @ w  # population risks and their complements
-    values = np.stack([rcor_, rcrr_, *_marginal(pr, qr)])
-    return values, pr, qr, P, clamped
+    np.divide(R[0], R[1], out=R[0])
+    np.matmul(V[:9], w, out=sums[:9])  # sums of 1 - P, of P and of RCRR
+    return sums
 
 
-# a block's rows may reach the clamp only when their bound sum_j |beta_j| *
+def _measures(block, design, scan, buffer, risks=None):
+    """The five measures (5, m) in MEASURE_IDS order, population risks and
+    complements (4, m) and clamp flags (m,) of the rows `block` (m, k), m a
+    multiple of four, tile by tile in `buffer` (10 * m * first tile's width
+    floats), adding the tiles' sums in pattern order. `scan` (tiles,) marks
+    the tiles that may pass the clamp; if any does, each row's RCOR, if it
+    is clipped, is its contrast. `risks` (4, m, S) receives the risks."""
+    groups, tiles, j12, _, w = design
+    m = len(block)
+    # rounding is symmetric, so products with -beta give -eta exactly
+    parts = [-block[:, g] for g in groups]
+    beta12 = np.zeros(m) if j12 is None else block[:, j12]
+    sums, clamped, contrast = None, np.zeros(m, dtype=bool), scan.any()
+    for (cut, D, wt), scan_tile in zip(tiles, scan):
+        V = buffer[:10 * m * len(wt)].reshape(10, m, len(wt))
+        _predictors(parts, beta12, D, V)
+        tile = _kernel(V, wt, scan_tile, contrast, clamped)
+        sums = tile if sums is None else np.add(sums, tile, out=sums)
+        if risks is not None:
+            risks[:, :, cut] = V[4:8]
+    with np.errstate(over="ignore"):  # beta12 > 709 only in a clamped row
+        rcor_ = np.where(clamped, sums[9], np.exp(beta12) * w.sum())
+    values = np.stack([rcor_, sums[8], *_marginal(sums[4:8], sums[:4])])
+    return values, sums[4:8], sums[:4], clamped
+
+
+# a tile's rows may reach the clamp only when their bound sum_j |beta_j| *
 # colmax_j does; the margin is far wider than the rounding of -eta, which is
 # within a few k * eps of that bound
 CLAMP_BOUND = LOGIT_CLAMP * (1.0 - 1e-9)
 
 
-def _blocks(B, design):
-    """Run the kernel over the rows of B (n, k), with `design` from
-    `_pattern_design`, in blocks of a multiple of four rows (about
-    BLOCK_ELEMENTS // (4 * S) rows). Yields, per block, its first row
-    `start` and the kernel's outputs (values, pr, qr, P, clamped) for the
-    block's rows of B. A block whose coefficient bound is clear of
-    LOGIT_CLAMP skips the kernel's clamp scan; a NaN bound scans."""
-    colmax, w = design[-2:]
-    step = 4 * max(1, BLOCK_ELEMENTS // (16 * len(w)))
-    # predictors, risks and RCRR quotients, reused by every block
-    buffer = np.empty((10, min(step, len(B) + -len(B) % 4), len(w)))
+def _blocks(B, design, risks=None):
+    """Run the kernel over the rows of B (n, k) in blocks of a multiple of
+    four rows: about BLOCK_ELEMENTS // (4 * S) rows if the S patterns fit one
+    tile, at most PATTERN_TILE if not. Yields, per block, its first row and
+    the outputs of `_measures` for its rows of B. A tile whose coefficient
+    bound is clear of LOGIT_CLAMP skips the clamp scan; a NaN bound scans."""
+    _, tiles, _, colmax, _ = design
+    width = len(tiles[0][-1])
+    step = 4 * max(1, BLOCK_ELEMENTS // (16 * width))
+    if len(tiles) > 1:  # slabs of PATTERN_TILE rows x tile width stay in L2
+        step = min(step, PATTERN_TILE)
+    # a tile's predictors, risks and RCRR quotients, reused by every block
+    buffer = np.empty(10 * min(step, len(B) + -len(B) % 4) * width)
     for start in range(0, len(B), step):
         block = B[start:start + step]
         m = len(block)
         # A short block, a single row included, is padded with zero rows to
-        # a multiple of four before the products and the kernel, so that
-        # every row takes the same BLAS paths however the rows are blocked:
-        # numpy hands a one-row product to gemv instead of gemm, and the
-        # kernel's weighted sums go through OpenBLAS's gemv, which sums the
-        # rows after the last group of four in another order.
+        # a multiple of four, so that every row takes the same BLAS paths
+        # however the rows are blocked: numpy hands a one-row product to
+        # gemv, not gemm, and OpenBLAS's gemv sums the rows after the last
+        # group of four in another order.
         if m % 4:
             block = np.vstack([block, np.zeros((4 - m % 4, B.shape[1]))])
-        scan = not (np.abs(block) @ colmax).max() < CLAMP_BOUND
-        view = buffer[:, :len(block)]
-        Q, rcor_ = _predictors(block, design, view[:4])
-        values, pr, qr, P, clamped = _measures(Q, w, rcor_, scan, view[4:])
-        yield start, values[:, :m], pr[:, :m], qr[:, :m], P[:, :m], clamped[:m]
+        scan = ~((np.abs(block) @ colmax).max(axis=0) < CLAMP_BOUND)
+        values, pr, qr, clamped = _measures(block, design, scan, buffer, risks)
+        yield start, values[:, :m], pr[:, :m], qr[:, :m], clamped[:m]
 
 
 def risk_table(coefficients, spec: ModelSpec, dist: CovariateDistribution) -> RiskTable:
     """Inverse-link of the linear predictor at every (z, x) combination."""
     B = np.asarray(coefficients, dtype=float)[None, :]
-    [(_, _, _, _, P, clamped)] = _blocks(B, _pattern_design(spec, dist))
+    P = np.empty((4, 4, len(dist.patterns)))  # the row, padded to four rows
+    [(_, _, _, _, clamped)] = _blocks(B, _pattern_design(spec, dist), P)
     values = {
         (z, x): p
         for z, row in zip(EXPOSURE_LEVELS, P[:, 0].tolist())
@@ -254,13 +277,15 @@ def _table_measures(table: RiskTable, dist: CovariateDistribution):
     if not ((P >= 0.0) & (P <= 1.0)).all():
         raise ValueError("risk table holds a risk that is not a number in [0, 1]")
     w = np.fromiter(dist.weights.values(), float, len(patterns))
+    V, clamped = np.empty((10, 1, len(w))), np.zeros(1, dtype=bool)
     with np.errstate(divide="ignore"):
-        Q = np.log((1.0 - P) / P)[:, None]  # -eta; risks of 0 and 1 give -+inf
-    values, pr, qr, _, clamped = _measures(Q, w)
+        V[:4, 0] = np.log((1.0 - P) / P)  # -eta; risks of 0 and 1 give -+inf
+    sums = _kernel(V, w, True, True, clamped)
     if clamped[0]:
         warnings.warn(f"risk table clamped: log-odds clipped to +-{LOGIT_CLAMP:.4g}",
                       RuntimeWarning, stacklevel=3)
-    return values[:, 0], pr[:, 0], qr[:, 0]
+    values = np.stack([sums[9], sums[8], *_marginal(sums[4:8], sums[:4])])
+    return values[:, 0], sums[4:8, 0], sums[:4, 0]
 
 
 def rcor(table: RiskTable, dist: CovariateDistribution) -> float:
@@ -314,7 +339,7 @@ def measure_set(coefficients, spec: ModelSpec, dist: CovariateDistribution,
     bits as `batch_measures` on a matrix holding it as a row. `design` is
     the result of `_pattern_design`, when the caller has built it."""
     B = np.asarray(coefficients, dtype=float)[None, :]
-    [(_, values, pr, qr, _, clamped)] = _blocks(B, design or _pattern_design(spec, dist))
+    [(_, values, pr, qr, clamped)] = _blocks(B, design or _pattern_design(spec, dist))
     return MeasureSet(
         *values[:, 0].tolist(),
         population_risks=PopulationRisks(pr[:, 0].tolist(), qr[:, 0].tolist()),
@@ -334,7 +359,7 @@ def batch_measures(coefficient_matrix, spec: ModelSpec, dist: CovariateDistribut
     B = np.asarray(coefficient_matrix, dtype=float)
     values = np.empty((len(MEASURE_IDS), len(B)))
     n_clamped = 0
-    for start, block, _, _, _, clamped in _blocks(B, design or _pattern_design(spec, dist)):
+    for start, block, _, _, clamped in _blocks(B, design or _pattern_design(spec, dist)):
         values[:, start:start + len(clamped)] = block
         n_clamped += int(clamped.sum())
     return dict(zip(MEASURE_IDS, values)), n_clamped

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import epinteract as ei
 from epinteract.data import CovariateDistribution
-from epinteract.measures import (EXPOSURE_LEVELS, LOGIT_CLAMP, RiskTable, _contrast,
-                                 _pattern_design, _predictors)
+from epinteract.measures import (EXPOSURE_LEVELS, LOGIT_CLAMP, PATTERN_TILE, RiskTable,
+                                 _contrast, _measures, _pattern_design, _predictors)
 from epinteract.model import design_matrix
 
 from conftest import (FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL,
@@ -64,6 +64,32 @@ def oracle_rmrr(pr):
 
 def oracle_dmrd(pr):
     return pr[(1, 1)] - pr[(0, 1)] - pr[(1, 0)] + pr[(0, 0)]
+
+
+def predictors(block, design):
+    """-eta (4, m, S) of the coefficient rows `block` (m, k), built tile by
+    tile as the kernel builds it, and each row's RCOR exp(beta12) * sum(w)
+    before any clamp."""
+    groups, tiles, j12, _, w = design
+    beta12 = np.zeros(len(block)) if j12 is None else block[:, j12]
+    Q = []
+    for _, D, wt in tiles:
+        V = np.empty((10, len(block), len(wt)))
+        _predictors([-block[:, g] for g in groups], beta12, D, V)
+        Q.append(V[:4])
+    return np.concatenate(Q, axis=-1), np.exp(beta12) * w.sum()
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """gen_wide's seed-1 table, whose 4096 patterns span 32 pattern tiles:
+    its formula, the dataset, spec, covariate distribution and fitted
+    coefficients."""
+    gen_wide = gen_wide_module()
+    data = ei.Dataset(cells=gen_wide.generate(1), covariate_names=gen_wide.COVARIATE_NAMES)
+    spec = ei.parse_formula(gen_wide.FORMULA, data.variable_names)
+    beta = ei.fit(*ei.expand_dataset(data, spec)).coefficients
+    return gen_wide.FORMULA, data, spec, ei.covariate_distribution(data), beta
 
 
 def single_stratum_table(p11, p01, p10, p00):
@@ -373,7 +399,7 @@ class TestFactoredPredictor:
     def eta(formula, data, beta):
         spec = ei.parse_formula(formula, data.variable_names)
         dist = ei.covariate_distribution(data)
-        Q, rcor_ = _predictors(beta[None], _pattern_design(spec, dist))
+        Q, rcor_ = predictors(beta[None], _pattern_design(spec, dist))
         return -Q[:, 0], rcor_[0], spec, dist
 
     def test_levels_match_the_full_design(self, dataset):
@@ -421,7 +447,7 @@ class TestFactoredPredictor:
         coef[0] = 1000.0
         design = _pattern_design(spec_full, dist)
         # the row as the kernel sees it: padded with zero rows to four
-        Q, rcor_ = _predictors(np.vstack([coef, np.zeros((3, 8))]), design)
+        Q, rcor_ = predictors(np.vstack([coef, np.zeros((3, 8))]), design)
         np.clip(Q, -LOGIT_CLAMP, LOGIT_CLAMP, out=Q)
         expected = _contrast(Q, design[-1])[0]
         ms = ei.measure_set(coef, spec_full, dist)
@@ -480,7 +506,8 @@ class TestBlockedBatch:
 
     @staticmethod
     def batch(B, spec, dist, monkeypatch, rows):
-        per_row = 4 * len(dist.weights)
+        # blocks of patterns spanning more than one tile hold `rows` rows
+        per_row = 4 * min(len(dist.weights), PATTERN_TILE)
         monkeypatch.setattr(ei.measures, "BLOCK_ELEMENTS", per_row * rows)
         return ei.measures.batch_measures(B, spec, dist)
 
@@ -503,17 +530,16 @@ class TestBlockedBatch:
         # zero rows to a multiple of four as every block is; an unpadded
         # product sums its last n % 4 rows in another order, and agrees on
         # the rest
-        from epinteract.measures import _measures, _pattern_design, _predictors
-
         B = self.draws(fit_full, n)
         design = _pattern_design(spec_full, dist)
 
         def kernel(rows):
-            Q, rcor_ = _predictors(rows, design)
-            return _measures(Q, design[-1], rcor_)
+            # every tile scanned, in one buffer for all rows
+            scan = np.ones(len(design[1]), dtype=bool)
+            return _measures(rows, design, scan, np.empty(10 * len(rows) * len(dist.weights)))
 
         padded = np.vstack([B, np.zeros((-n % 4, 8))])
-        expected, _, _, _, clamped = kernel(padded)
+        expected, _, _, clamped = kernel(padded)
         unpadded = kernel(B)[0]
         values, n_clamped = self.batch(B, spec_full, dist, monkeypatch, 3)
         assert n_clamped == int(clamped.sum()) == 1
@@ -530,13 +556,28 @@ class TestBlockedBatch:
         B = self.draws(fit_full, 47)
         kernel, sizes = ei.measures._measures, []
 
-        def recording(eta, w, rcor_, *args):
-            sizes.append(eta.shape[1])
-            return kernel(eta, w, rcor_, *args)
+        def recording(block, *args):
+            sizes.append(len(block))
+            return kernel(block, *args)
 
         monkeypatch.setattr(ei.measures, "_measures", recording)
         self.batch(B, spec_full, dist, monkeypatch, rows)
         assert sizes == [step] * (47 // step) + [47 % step + 1]
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 5, 8, 12, 50])
+    def test_multi_tile_rows_match_measure_set(self, rows, wide, monkeypatch):
+        # 4096 patterns span 32 tiles, and each row's sums over them add up
+        # tile by tile in the same order in a block of any size; a budget of
+        # 50 rows makes one block of every row
+        _, _, spec, dist, beta = wide
+        design = _pattern_design(spec, dist)
+        B = beta + np.random.default_rng(23).normal(0, 0.05, size=(47, len(beta)))
+        B[42, 0] = 1000.0  # one clamped row, in a later block
+        values, n_clamped = self.batch(B, spec, dist, monkeypatch, rows)
+        assert n_clamped == 1
+        for i, row in enumerate(B):
+            expected = ei.measure_set(row, spec, dist, design).as_dict()
+            assert {mid: v[i] for mid, v in values.items()} == expected, i
 
     def test_memory_does_not_grow_with_draws(self, fit_full, spec_full, dist):
         import tracemalloc
@@ -555,9 +596,113 @@ class TestBlockedBatch:
         assert peak(40_000) - peak(10_000) < 30_000 * 64
 
 
+class TestPatternTiles:
+    """The kernel takes the patterns PATTERN_TILE at a time, and sums over
+    patterns add up tile by tile in pattern order."""
+
+    @staticmethod
+    def draws(beta, n):
+        return beta + np.random.default_rng(24).normal(0, 0.05, size=(n, len(beta)))
+
+    def test_wide_design_spans_full_tiles(self, wide):
+        _, _, spec, dist, _ = wide
+        tiles = _pattern_design(spec, dist)[1]
+        assert [len(wt) for _, _, wt in tiles] == [PATTERN_TILE] * (4096 // PATTERN_TILE)
+
+    def test_risk_table_holds_every_tile(self, wide):
+        _, _, spec, dist, beta = wide
+        table = ei.risk_table(beta, spec, dist)
+        Q, _ = predictors(np.vstack([beta, np.zeros((3, len(beta)))]),
+                          _pattern_design(spec, dist))
+        got = [[table.risk(z, x) for x in dist.patterns] for z in EXPOSURE_LEVELS]
+        np.testing.assert_array_equal(got, 1.0 / (1.0 + np.exp(Q[:, 0])))
+
+    def test_swapping_exposures_gives_the_same_bits(self, wide):
+        formula, data, spec, dist, beta = wide
+        swapped, data_s = TestFactoredPredictor.swap(formula, data)
+        spec_s = ei.parse_formula(swapped, data_s.variable_names)
+        dist_s = ei.covariate_distribution(data_s)
+        B = self.draws(beta, 8)
+        Q, rcor_ = predictors(B, _pattern_design(spec, dist))
+        Q_s, rcor_s = predictors(B, _pattern_design(spec_s, dist_s))
+        np.testing.assert_array_equal(Q_s[[0, 2, 1, 3]], Q)
+        np.testing.assert_array_equal(rcor_s, rcor_)
+        for row in B:
+            ms, ms_s = ei.measure_set(row, spec, dist), ei.measure_set(row, spec_s, dist_s)
+            pr, pr_s = ms.population_risks, ms_s.population_risks
+            assert [pr_s[z[::-1]] for z in EXPOSURE_LEVELS] == [pr[z] for z in EXPOSURE_LEVELS]
+            assert pr_s.complements == tuple(np.array(pr.complements)[[0, 2, 1, 3]])
+            assert ms_s.rcor == ms.rcor
+
+    def test_one_tile_agrees(self, wide, monkeypatch):
+        _, _, spec, dist, beta = wide
+        B = self.draws(beta, 61)
+        tiled, n_clamped = ei.measures.batch_measures(B, spec, dist)
+        monkeypatch.setattr(ei.measures, "PATTERN_TILE", len(dist.weights))
+        assert len(_pattern_design(spec, dist)[1]) == 1
+        whole, whole_clamped = ei.measures.batch_measures(B, spec, dist)
+        assert n_clamped == whole_clamped == 0
+        for mid in ei.MEASURE_IDS:
+            np.testing.assert_allclose(tiled[mid], whole[mid], rtol=1e-13, atol=0)
+
+    # patterns are in binary order with x1 the high bit, so x1..x5 are all 1
+    # only in the last tile and all 0 only in the first; with s of them 1,
+    # eta gains a + b * s, which passes the clamp at s = 5 (last tile) or at
+    # s = 0 (first tile) alone
+    SHIFTS = {-1: (-22.0, 11.0), 0: (33.0, -11.0)}
+
+    @classmethod
+    def clamped_row(cls, spec, beta, tile):
+        a, b = cls.SHIFTS[tile]
+        row = beta.copy()
+        row[0] += a
+        row[[spec.terms.index(t) for t in spec.terms if t.variables in
+             [(f"x{j}",) for j in range(1, 6)]]] += b
+        return row
+
+    @pytest.mark.parametrize("tile", [-1, 0])
+    def test_row_clamped_in_one_tile_only(self, tile, wide, monkeypatch):
+        _, _, spec, dist, beta = wide
+        design = _pattern_design(spec, dist)
+        row = self.clamped_row(spec, beta, tile)
+        Q, _ = predictors(np.vstack([row, np.zeros((3, len(row)))]), design)
+        eta, cut = np.abs(Q[:, 0]), design[1][tile][0]
+        outside = np.delete(eta, np.arange(len(dist.weights))[cut], axis=1)
+        assert outside.max() < LOGIT_CLAMP < eta[:, cut].max()
+        np.clip(Q, -LOGIT_CLAMP, LOGIT_CLAMP, out=Q)
+        expected = np.zeros(4)
+        for s, _, wt in design[1]:  # the clipped contrast, summed tile by tile
+            expected += _contrast(Q[:, :, s], wt)
+        ms = ei.measure_set(row, spec, dist, design)
+        assert ms.clamped
+        assert ms.rcor == expected[0]
+        B = self.draws(beta, 20)
+        B[13] = row
+        values, n_clamped = ei.measures.batch_measures(B, spec, dist)
+        assert n_clamped == 1
+        assert {mid: v[13] for mid, v in values.items()} == ms.as_dict()
+        monkeypatch.setattr(ei.measures, "CLAMP_BOUND", -np.inf)
+        scanned, scanned_clamped = ei.measures.batch_measures(B, spec, dist)
+        assert scanned_clamped == 1
+        for mid in ei.MEASURE_IDS:
+            np.testing.assert_array_equal(scanned[mid], values[mid])
+
+    def test_rows_clamped_in_different_tiles_are_each_counted(self, wide):
+        _, _, spec, dist, beta = wide
+        B = self.draws(beta, 20)  # one block
+        B[5], B[13] = self.clamped_row(spec, beta, 0), self.clamped_row(spec, beta, -1)
+        values, n_clamped = ei.measures.batch_measures(B, spec, dist)
+        assert n_clamped == 2
+        for i in (5, 13):
+            ms = ei.measure_set(B[i], spec, dist)
+            assert ms.clamped
+            assert {mid: v[i] for mid, v in values.items()} == ms.as_dict()
+
+
 class TestClampBound:
-    """A block whose bound sum_j |beta_j| * colmax_j is clear of LOGIT_CLAMP
-    skips the kernel's clamp scan; no value and no clamp count may show it."""
+    """A pattern tile whose bound sum_j |beta_j| * colmax_j is clear of
+    LOGIT_CLAMP skips the kernel's clamp scan; no value and no clamp count
+    may show it."""
 
     @staticmethod
     def wide_draws():
@@ -574,16 +719,16 @@ class TestClampBound:
                  self.wide_draws()]
         kernel, scans = ei.measures._measures, []
 
-        def recording(Q, w, rcor_, scan, work):
-            scans.append(scan)
-            return kernel(Q, w, rcor_, scan, work)
+        def recording(block, design, scan, *args):
+            scans.extend(scan)  # one flag per pattern tile
+            return kernel(block, design, scan, *args)
 
         monkeypatch.setattr(ei.measures, "_measures", recording)
         for B, spec, d in cases:
             scans.clear()
             values, n_clamped = ei.measures.batch_measures(B, spec, d)
             assert n_clamped == 0
-            assert not any(scans)  # the bound ruled every block's scan out
+            assert not any(scans)  # the bound ruled every tile's scan out
             with monkeypatch.context() as m:
                 m.setattr(ei.measures, "CLAMP_BOUND", -np.inf)
                 scans.clear()
