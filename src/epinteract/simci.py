@@ -13,12 +13,12 @@ from the stream that starts at counter [0, c, 0, 0], read row by row. The
 first m rows of a chunk do not depend on m, so draw i depends only on
 (seed, i), and serial, chunked, per-index or whole-matrix evaluation give
 bit-identical normals. CHUNK is part of the stream: changing it changes the
-draws.
+draws. simulate makes and evaluates the draws one chunk at a time on the
+caller's thread and starts no other.
 """
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,33 +132,6 @@ def _normal_block(seed: int, start: int, count: int, k: int) -> np.ndarray:
     return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
 
-def _normal_chunks(seed: int, n_draws: int, k: int):
-    """(start, count, normals) for each chunk in turn: its first draw, its
-    number of draws, and its normals, a short last chunk padded with its next
-    draws to a multiple of four rows, so that a single row does not go to gemv
-    instead of gemm. With more than one chunk, one helper thread makes chunk
-    c + 1 while the caller works on chunk c: one numpy call per chunk, which
-    runs without the GIL."""
-    def padded(c):
-        start = c * CHUNK
-        count = min(CHUNK, n_draws - start)
-        return start, count, _normal_block(seed, start, count + -count % 4, k)
-
-    n_chunks = -(-n_draws // CHUNK)
-    if n_chunks == 1:
-        yield padded(0)
-        return
-    # imported here: concurrent.futures costs about 9 ms cold (it loads logging)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(padded, 0)
-        for c in range(1, n_chunks):
-            U, ahead = ahead.result(), helper.submit(padded, c)
-            yield U
-        yield ahead.result()
-
-
 def draw_parameters(fit: FitResult, config: SimulationConfig, draw_index: int) -> np.ndarray:
     """One deterministic draw from N(coefficients, selected covariance)."""
     if not 0 <= draw_index < config.n_draws:
@@ -204,20 +177,22 @@ def histogram(draws, n_bins: int):
 def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
              config: SimulationConfig) -> SimulationResult:
     """Approximate sampling distribution of every measure, from one shared
-    stream of parameter draws, generated and evaluated one CHUNK at a time."""
+    stream of parameter draws, generated and evaluated one CHUNK at a time on
+    the caller's thread."""
     if not fit.converged:
         raise ValueError("cannot simulate from a non-converged fit")
     L, jitter = cholesky(config.covariance(fit))
     values = np.empty((len(MEASURE_IDS), config.n_draws))
     n_clamped = 0
     design = _pattern_design(spec, dist)
-    # closing joins the helper thread also when the kernel raises
-    with closing(_normal_chunks(config.seed, config.n_draws, len(fit.coefficients))) as normals:
-        for start, count, U in normals:
-            chunk, clamped = batch_measures((fit.coefficients + U @ L.T)[:count],
-                                            spec, dist, design)
-            values[:, start:start + count] = list(chunk.values())
-            n_clamped += clamped
+    for start in range(0, config.n_draws, CHUNK):
+        count = min(CHUNK, config.n_draws - start)
+        # a short last chunk is padded with its next draws to a multiple of
+        # four rows, so that a single row does not go to gemv instead of gemm
+        U = _normal_block(config.seed, start, count + -count % 4, len(fit.coefficients))
+        chunk, clamped = batch_measures((fit.coefficients + U @ L.T)[:count], spec, dist, design)
+        values[:, start:start + count] = list(chunk.values())
+        n_clamped += clamped
     values.sort(axis=1)
     point = measure_set(fit.coefficients, spec, dist, design)
     point_values = point.as_dict()

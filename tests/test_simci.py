@@ -473,29 +473,26 @@ class TestStream:
         assert short.shape == (n_draws, len(fit_full.coefficients))
         np.testing.assert_array_equal(short, longer[:n_draws])
 
-    @pytest.mark.parametrize("n_draws, helpers", [(CHUNK, 0), (CHUNK + 1, 1), (3 * CHUNK, 1)])
-    def test_helper_thread_only_for_many_chunks_and_joined(
-            self, fit_full, spec_full, dist, monkeypatch, n_draws, helpers):
-        # a one-chunk run starts no thread; a longer one makes its normals one
-        # chunk ahead on a single helper thread, gone when simulate returns
+    @pytest.mark.parametrize("n_draws", [CHUNK, CHUNK + 1, 3 * CHUNK])
+    def test_no_thread_for_any_chunk_count(
+            self, fit_full, spec_full, dist, monkeypatch, n_draws):
+        # simulate runs every chunk on the caller's thread and starts no other
         before = threading.active_count()
-        during = []
+        calls = []
         real = simci.batch_measures
 
         def count_threads(draws, *args):
-            during.append(threading.active_count())
+            calls.append(threading.active_count())
             return real(draws, *args)
 
         monkeypatch.setattr(simci, "batch_measures", count_threads)
         simulate(fit_full, spec_full, dist, SimulationConfig(n_draws=n_draws, seed=4))
-        assert during == [before + helpers] * -(-n_draws // CHUNK)
+        assert calls == [before] * -(-n_draws // CHUNK)
         assert threading.active_count() == before
 
-    def test_helper_thread_joined_when_the_kernel_raises(
-            self, fit_full, spec_full, dist, monkeypatch):
-        # the kernel fails on the second chunk while the helper makes the third;
-        # the helper is joined even while the caller still holds the traceback,
-        # and with it simulate's frame
+    def test_kernel_error_stops_the_run(self, fit_full, spec_full, dist, monkeypatch):
+        # a kernel error on the second of three chunks reaches the caller as
+        # raised, no later chunk is evaluated and no thread is left behind
         before = threading.active_count()
         calls = []
         real = simci.batch_measures
@@ -509,10 +506,9 @@ class TestStream:
         monkeypatch.setattr(simci, "batch_measures", fail_second)
         with pytest.raises(RuntimeError, match="kernel failed") as raised:
             simulate(fit_full, spec_full, dist, SimulationConfig(n_draws=3 * CHUNK, seed=4))
-        assert calls == [before + 1] * 2
-        assert threading.active_count() == before
         assert raised.traceback[-1].name == "fail_second"
-
+        assert calls == [before] * 2
+        assert threading.active_count() == before
 
 def _kernel_inputs(monkeypatch, fit, spec, dist, config):
     """The blocks of parameter rows simulate hands to the measure kernel, in order."""
@@ -691,20 +687,20 @@ def _fresh_stdout(code, *argv):
 
 def test_import_loads_no_orjson():
     # only a run that writes draws.csv loads orjson and builds the row digit
-    # table, and only a run of more than one chunk loads concurrent.futures:
-    # importing the library or the CLI module must not pay for any of them
+    # table, and nothing loads concurrent.futures: importing the library or
+    # the CLI module must not pay for any of them
     code = ("import sys, epinteract.cli as cli; "
             "print('orjson' in sys.modules, cli._index_digits.cache_info().currsize, "
             "'concurrent.futures' in sys.modules)")
     assert _fresh_stdout(code) == ["False", "0", "False"]
 
 
-@pytest.mark.parametrize("n_draws, loaded", [(1000, "False"), (CHUNK + 1, "True")])
-def test_only_a_run_of_many_chunks_loads_concurrent_futures(tmp_path, n_draws, loaded):
-    # concurrent.futures costs about 9 ms to import cold: a one-chunk run,
-    # such as the default 1000 draws, starts no helper thread and skips it
+@pytest.mark.parametrize("n_draws", [1000, CHUNK + 1])
+def test_no_run_loads_concurrent_futures(tmp_path, n_draws):
+    # simulate starts no thread, so neither a one-chunk run, such as the
+    # default 1000 draws, nor a longer one pays for concurrent.futures
     code = ("import sys; from epinteract import cli; rc = cli.main(sys.argv[1:]); "
             "print(rc, 'concurrent.futures' in sys.modules)")
     assert _fresh_stdout(code, "--fixture", "nguyen2008", "--formula", FULL_MODEL,
                          "--draws", str(n_draws), "--seed", "1", "--format", "json",
-                         "--out", str(tmp_path)) == ["0", loaded]
+                         "--out", str(tmp_path)) == ["0", "False"]
