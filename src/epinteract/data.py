@@ -9,10 +9,11 @@ against the cell rules.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from importlib import resources
 
 import numpy as np
@@ -100,7 +101,8 @@ class Dataset:
 
     `cells` may be any integer array-like of shape (n, K + 4) whose values
     fit in int64; it is kept as a read-only int64 array. A float count such
-    as 2.0 is rejected.
+    as 2.0 is rejected. The cells are grouped by covariate pattern once;
+    `pattern_rows` returns that grouping.
     """
 
     cells: np.ndarray
@@ -126,14 +128,18 @@ class Dataset:
         # so that no 64-bit sum of totals can wrap
         if sum(cells[:, -1].tolist()) >= 2**63:
             raise InputError("totals must add up to less than 2**63")
-        first, group = _first_appearance(cells[:, :k + 2])
-        repeats = np.flatnonzero(first[group] != np.arange(len(cells)))
-        if repeats.size:
-            row = cells[repeats[0]].tolist()
+        first, group = _first_appearance(cells[:, :k])
+        # a cell is its pattern and exposure pair; name the first row whose
+        # pattern and pair an earlier row has
+        firsts = np.unique(4 * group + 2 * cells[:, k] + cells[:, k + 1], return_index=True)[1]
+        if len(firsts) < len(cells):
+            row = cells[np.setdiff1d(np.arange(len(cells)), firsts)[0]].tolist()
             raise InputError(f"duplicate cell for {(tuple(row[:k]), tuple(row[k:k + 2]))}")
         cells.setflags(write=False)
+        group.setflags(write=False)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "covariate_names", names)
+        object.__setattr__(self, "_patterns", (first, group))
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
@@ -143,6 +149,12 @@ class Dataset:
 
     def __hash__(self):
         return hash((self.covariate_names, self.cells.tobytes()))
+
+    def pattern_rows(self):
+        """The covariate patterns (S, K), in order of first appearance, and
+        each cell's pattern number (n,), read-only."""
+        first, group = self._patterns
+        return self.cells[first, :len(self.covariate_names)], group
 
     @property
     def n_total(self) -> int:
@@ -250,27 +262,65 @@ def _csv_cells(reader, width: int):
     return np.array(rows, dtype=np.int64).reshape(-1, width), linenos, error
 
 
-@dataclass(frozen=True, eq=False)
+def _check_weights(w):
+    """Raise an InputError unless the weights w (S,) are a distribution."""
+    if not ((w >= 0) & (w <= 1)).all():
+        raise InputError("weights must lie in [0, 1]")
+    total = math.fsum(w.tolist())
+    if abs(total - 1.0) > 1e-12:
+        raise InputError(f"weights must sum to 1, got {total!r}")
+
+
 class CovariateDistribution:
     """Empirical distribution of covariate patterns: pattern -> sample
     proportion. `covariate_names` names the pattern's columns in order; None
-    reads them as x1..xK."""
+    reads them as x1..xK. The patterns are kept as the read-only rows of
+    `pattern_array` (S, K) and their weights as the read-only `weight_array`
+    (S,); the dict `weights` (a copy of the one given) and the list
+    `patterns` are built on first use. Attributes cannot be assigned."""
 
-    weights: dict[tuple[int, ...], float]
-    covariate_names: tuple[str, ...] | None = None
+    def __init__(self, weights: dict[tuple[int, ...], float], covariate_names=None):
+        w = np.fromiter(weights.values(), float, len(weights))
+        _check_weights(w)
+        if covariate_names is not None:
+            _check_names(covariate_names)
+        patterns = list(weights)
+        width = len(patterns[0] if covariate_names is None else covariate_names)
+        for x in patterns:
+            if len(x) != width:
+                raise InputError(f"patterns of unequal lengths: {patterns[0]} and {x}"
+                                 if covariate_names is None else
+                                 f"{width} covariate names for the pattern {x}")
+        self._fill(np.array(patterns).reshape(len(w), width), w, covariate_names)
+        self.__dict__["weights"] = dict(weights)
 
-    def __post_init__(self):
-        if not all(0 <= w <= 1 for w in self.weights.values()):
-            raise InputError("weights must lie in [0, 1]")
-        total = math.fsum(self.weights.values())
-        if abs(total - 1.0) > 1e-12:
-            raise InputError(f"weights must sum to 1, got {total!r}")
-        if self.covariate_names is not None:
-            _check_names(self.covariate_names)
-            width = len(self.covariate_names)
-            for x in self.weights:
-                if len(x) != width:
-                    raise InputError(f"{width} covariate names for the pattern {x}")
+    @classmethod
+    def _from_arrays(cls, patterns, w, covariate_names):
+        """The distribution of the pattern rows (S, K) with weights w (S,)."""
+        _check_weights(w)
+        dist = cls.__new__(cls)
+        dist._fill(patterns, w, covariate_names)
+        return dist
+
+    def _fill(self, patterns, w, covariate_names):
+        patterns.setflags(write=False)
+        w.setflags(write=False)
+        self.__dict__.update(pattern_array=patterns, weight_array=w,
+                             covariate_names=covariate_names)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(weights={self.weights!r}, "
+                f"covariate_names={self.covariate_names!r})")
+
+    @functools.cached_property
+    def weights(self) -> dict[tuple[int, ...], float]:
+        return dict(zip(map(tuple, self.pattern_array.tolist()), self.weight_array.tolist()))
 
     @property
     def patterns(self) -> list[tuple[int, ...]]:
@@ -281,16 +331,12 @@ def covariate_distribution(data: Dataset) -> CovariateDistribution:
     """Proportion of subjects with each covariate pattern, marginal over
     exposure, with the dataset's covariate names; patterns in order of first
     appearance."""
-    k = len(data.covariate_names)
-    first, group = _first_appearance(data.cells[:, :k])
-    counts = np.zeros(len(first), dtype=np.int64)
+    patterns, group = data.pattern_rows()
+    counts = np.zeros(len(patterns), dtype=np.int64)
     np.add.at(counts, group, data.cells[:, -1])
     n = data.n_total
-    patterns = map(tuple, data.cells[first, :k].tolist())
-    return CovariateDistribution(
-        weights={x: c / n for x, c in zip(patterns, counts.tolist())},
-        covariate_names=data.covariate_names,
-    )
+    w = np.array([c / n for c in counts.tolist()])
+    return CovariateDistribution._from_arrays(patterns, w, data.covariate_names)
 
 
 FIXTURES = ("nguyen2008",)
@@ -300,5 +346,5 @@ def load_fixture(name: str) -> Dataset:
     """Load a bundled dataset by name."""
     if name not in FIXTURES:
         raise InputError(f"unknown fixture {name!r}; available: {FIXTURES}")
-    text = resources.files("epinteract.fixtures").joinpath(f"{name}.csv").read_text()
+    text = (resources.files(__package__) / "fixtures" / f"{name}.csv").read_text()
     return Dataset.from_csv(io.StringIO(text))

@@ -126,13 +126,12 @@ def _pattern_design(spec: ModelSpec, dist: CovariateDistribution):
     and weights; the column of z1:z2 (None without that term); each column's
     largest |entry| per tile (k, tiles) and the weights (S,). At z = (1, 1)
     every term is largest, so |eta| <= sum_j |beta_j| * colmax_j in a tile."""
-    patterns = dist.patterns
-    T = design_matrix(np.ones((len(patterns), 2)), patterns, spec, dist.covariate_names)
+    w = dist.weight_array
+    T = design_matrix(np.ones((len(w), 2)), dist.pattern_array, spec, dist.covariate_names)
     exposures = [tuple(v for v in t.variables if v in EXPOSURE_NAMES) for t in spec.terms]
     z1, z2 = EXPOSURE_NAMES
     groups = [[j for j, e in enumerate(exposures) if e == g] for g in ((), (z1,), (z2,))]
     j12 = exposures.index(EXPOSURE_NAMES) if EXPOSURE_NAMES in exposures else None
-    w = np.fromiter(dist.weights.values(), float, len(patterns))
     cuts = [slice(i, i + PATTERN_TILE) for i in range(0, len(w), PATTERN_TILE)]
     tiles = [(s, [T[s, g].T for g in groups], w[s]) for s in cuts]
     colmax = np.stack([np.abs(T[s]).max(axis=0) for s in cuts], axis=1)
@@ -147,11 +146,12 @@ def _predictors(parts, beta12, D, V):
     np.matmul(parts[0], D[0], out=Q[0])
     np.matmul(parts[1], D[1], out=d1)
     np.matmul(parts[2], D[2], out=d2)
-    np.add(Q[0], d2, out=Q[1])
-    np.add(Q[0], d1, out=Q[2])
+    Q[1:] = Q[0]
+    Q[1] += d2
+    Q[2] += d1
     d1 += d2  # grouped so that swapping z1 and z2 gives the same bits
     d1 -= beta12[:, None]
-    np.add(Q[0], d1, out=Q[3])
+    Q[3] += d1
 
 
 def _contrast(Q, w):
@@ -276,7 +276,7 @@ def _table_measures(table: RiskTable, dist: CovariateDistribution):
     P = np.array([[table.risk(z, x) for x in patterns] for z in EXPOSURE_LEVELS])
     if not ((P >= 0.0) & (P <= 1.0)).all():
         raise ValueError("risk table holds a risk that is not a number in [0, 1]")
-    w = np.fromiter(dist.weights.values(), float, len(patterns))
+    w = dist.weight_array
     V, clamped = np.empty((10, 1, len(w))), np.zeros(1, dtype=bool)
     with np.errstate(divide="ignore"):
         V[:4, 0] = np.log((1.0 - P) / P)  # -eta; risks of 0 and 1 give -+inf

@@ -108,10 +108,17 @@ def design_matrix(exposures, covariates, spec: ModelSpec, covariate_names=None):
 
 
 def expand_dataset(data: Dataset, spec: ModelSpec):
-    """Build (design matrix, successes, totals) with one row per cell,
-    in dataset order."""
-    cells, k = data.cells, len(data.covariate_names)
-    X = design_matrix(cells[:, k:k + 2], cells[:, :k], spec, data.covariate_names)
+    """Build (design matrix, successes, totals) with one row per cell, in
+    dataset order: its pattern's design at z = (1, 1), times its exposure
+    pair's 0/1 row. Every entry is a product of 0/1 values, so the rows equal
+    `design_matrix` at the cells exactly."""
+    (patterns, group), names = data.pattern_rows(), data.covariate_names
+    cells, k = data.cells, len(names)
+    T = design_matrix(np.ones((len(patterns), 2)), patterns, spec, names)
+    # row 2 * z1 + z2 is nonzero in the terms nonzero at the exposure pair (z1, z2)
+    keep = design_matrix([(0, 0), (0, 1), (1, 0), (1, 1)], np.ones((4, k)), spec, names) > 0
+    X = T[group]
+    X *= keep[2 * cells[:, k] + cells[:, k + 1]]
     return X, cells[:, -2].astype(float), cells[:, -1].astype(float)
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import epinteract as ei
 
@@ -100,6 +101,31 @@ def many_patterns(n=100_000, k=17):
     z, s = rng.integers(0, 2, size=(n, 2)), rng.integers(0, 2, size=(n, 1))
     cells = np.hstack([x, z, s, np.ones_like(s)])
     return ei.Dataset(cells=cells, covariate_names=tuple(f"x{i + 1}" for i in range(k)))
+
+
+@st.composite
+def binary_tables(draw, max_total=50):
+    """(cells (n, K + 4) as a list of rows, covariate names, formula) of a
+    random binary table: K from 0 to 3, cells in any order, patterns that
+    miss some exposure pairs, and a formula of main effects and products of
+    any two variables. Totals run up to max_total."""
+    k = draw(st.integers(0, 3))
+    names = tuple(f"x{i + 1}" for i in range(k))
+    patterns = draw(st.lists(st.tuples(*[st.integers(0, 1)] * k),
+                             min_size=1, max_size=2**k, unique=True))
+    rows = []
+    for x in patterns:
+        for z in draw(st.lists(st.sampled_from(ei.measures.EXPOSURE_LEVELS),
+                               min_size=1, max_size=4, unique=True)):
+            n = draw(st.integers(1, max_total))
+            rows.append([*x, *z, draw(st.integers(0, n)), n])
+    rows = draw(st.permutations(rows))
+    variables = (*names, "z1", "z2")
+    terms = [(v,) for v in variables] + [
+        (a, b) for i, a in enumerate(variables) for b in variables[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(terms), max_size=8, unique=True))
+    formula = "y ~ " + " + ".join(":".join(t) for t in chosen or [("z1",)])
+    return rows, names, formula
 
 
 def gen_wide_module():

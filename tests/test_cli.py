@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 from epinteract import cli
+from epinteract.data import CovariateDistribution, Dataset, covariate_distribution
 from epinteract.measures import MEASURE_IDS
 from epinteract.simci import (COVARIANCE_CHOICES, NotPositiveSemiDefiniteError,
                               SimulationConfig, simulate)
 
-from conftest import FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL, many_patterns
+from conftest import (FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL,
+                      gen_wide_module, many_patterns)
 
 
 def run_cli(*argv):
@@ -110,6 +112,23 @@ class TestRun:
         many_patterns().to_csv(path)
         rc = run_cli("--input", str(path), "--formula", "y ~ z1 + z2 + z1:z2 + x1 + x2",
                      "--draws", "2", "--format", "json", "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_OK
+
+    def test_wide_run_builds_no_pattern_dict(self, tmp_path, monkeypatch):
+        # the patterns go from the cells to the kernel as arrays: a run on the
+        # benchmark's 4096-pattern table never builds the weights dict, nor
+        # the patterns list, which is read from it
+        gen_wide = gen_wide_module()
+        path = tmp_path / "wide.csv"
+        gen_wide.write(1, path)
+        assert covariate_distribution(Dataset.from_csv(path)).weight_array.shape == (4096,)
+
+        def refuse(self):
+            raise AssertionError("the weights dict was built")
+
+        monkeypatch.setattr(CovariateDistribution, "weights", property(refuse))
+        rc = run_cli("--input", str(path), "--formula", gen_wide.FORMULA, "--draws", "20",
+                     "--seed", "1", "--format", "json", "--out", str(tmp_path / "out"))
         assert rc == cli.EXIT_OK
 
     def test_deterministic_outputs(self, tmp_path):

@@ -1,5 +1,10 @@
+import dataclasses
+import importlib
 import io
+import shutil
+import sys
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +17,23 @@ from epinteract import data as data_module
 from epinteract.data import InputError, Dataset
 from epinteract.measures import EXPOSURE_LEVELS
 
-from conftest import many_patterns
+from conftest import binary_tables, many_patterns
+
+# two pattern totals that sum past 2**53, where numpy's division of the
+# totals as doubles rounds differently from Python's correctly rounded c / n
+BIG_TOTALS = (14841613484987477, 139138151020518971)
+
+
+def duplicate_message_reference(rows, k):
+    """Plain-Python reference: the message for the first row whose
+    (pattern, exposure pair) an earlier row already has, or None."""
+    seen = set()
+    for row in rows:
+        key = (tuple(row[:k]), tuple(row[k:k + 2]))
+        if key in seen:
+            return f"duplicate cell for {key}"
+        seen.add(key)
+    return None
 
 
 class TestStratumRecord:
@@ -32,6 +53,27 @@ class TestStratumRecord:
     def test_duplicate_cells_rejected(self):
         with pytest.raises(InputError, match="duplicate"):
             Dataset(cells=[(0, 0, 1, 1, 2), (0, 0, 1, 1, 2)], covariate_names=("x1",))
+
+    @given(binary_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_pattern_rows(self, table):
+        rows, names, _ = table
+        data = Dataset(cells=rows, covariate_names=names)
+        patterns, group = data.pattern_rows()
+        k = len(names)
+        assert patterns.tolist() == [list(x) for x in dict.fromkeys(tuple(r[:k]) for r in rows)]
+        assert patterns[group].tolist() == [r[:k] for r in rows]
+        assert not group.flags.writeable
+
+    @given(binary_tables(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_duplicate_message_names_the_first_repeat(self, table, data):
+        rows, names, _ = table
+        repeats = data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
+        rows = data.draw(st.permutations(rows + [[*r[:-2], 0, 1] for r in repeats]))
+        with pytest.raises(InputError) as err:
+            Dataset(cells=rows, covariate_names=names)
+        assert str(err.value) == duplicate_message_reference(rows, len(names))
 
     @pytest.mark.parametrize("successes, totals",
                              [(2.0, 5), (1, 5.0), (1, 2**63), (2**64 - 1, 5)])
@@ -69,6 +111,22 @@ class TestFixture:
     def test_unknown_fixture(self):
         with pytest.raises(InputError):
             ei.load_fixture("nope")
+
+    def test_a_copy_under_another_name_loads_its_own_fixture(self, tmp_path, monkeypatch):
+        # the fixture is found relative to the package that loads it
+        copy = tmp_path / "epinteract_copy"
+        shutil.copytree(Path(data_module.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        fixture = copy / "fixtures" / "nguyen2008.csv"
+        fixture.write_text("".join(fixture.read_text().splitlines(keepends=True)[:-1]))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            loaded = importlib.import_module("epinteract_copy").load_fixture("nguyen2008")
+        finally:
+            for name in [m for m in sys.modules if m.partition(".")[0] == "epinteract_copy"]:
+                del sys.modules[name]
+        assert len(loaded.cells) == 29
+        assert len(ei.load_fixture("nguyen2008").cells) == 30
 
 
 class TestCovariateDistribution:
@@ -115,6 +173,50 @@ class TestCovariateDistribution:
         with pytest.raises(InputError) as err:
             ei.CovariateDistribution(weights=weights)
         assert str(err.value) == "weights must lie in [0, 1]"
+
+    def test_ragged_patterns_refused(self):
+        # without names there is no width to compare with, but a ragged
+        # table is no (S, K) pattern array
+        with pytest.raises(InputError) as err:
+            ei.CovariateDistribution(weights={(0,): 0.5, (0, 1): 0.5})
+        assert str(err.value) == "patterns of unequal lengths: (0,) and (0, 1)"
+
+    def test_arrays_hold_the_dict(self, dist):
+        assert dist.pattern_array.tolist() == [list(x) for x in dist.patterns]
+        assert dist.weight_array.tolist() == list(dist.weights.values())
+        given = {(0, 1): 0.25, (1, 1): 0.75}
+        d = ei.CovariateDistribution(weights=given, covariate_names=("a", "b"))
+        given[(0, 1)] = 0.5
+        assert d.weights == {(0, 1): 0.25, (1, 1): 0.75}
+        assert d.pattern_array.tolist() == [[0, 1], [1, 1]]
+        assert d.weight_array.tolist() == [0.25, 0.75]
+        assert repr(d) == ("CovariateDistribution(weights={(0, 1): 0.25, (1, 1): 0.75}, "
+                           "covariate_names=('a', 'b'))")
+
+    def test_frozen(self, dist):
+        # the arrays are what the measures read: neither they nor any
+        # attribute can be changed after construction
+        for a in (dist.pattern_array, dist.weight_array):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dist.weights = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dist.covariate_names = ("a", "b", "c")
+
+    @given(binary_tables(max_total=2**57))
+    @example(([[0, 0, 0, 1, BIG_TOTALS[0]], [1, 0, 0, 1, BIG_TOTALS[1]]], ("x1",), "y ~ z1"))
+    @settings(max_examples=200, deadline=None)
+    def test_weights_are_python_quotients(self, table):
+        rows, names, _ = table
+        k = len(names)
+        totals = {}
+        for row in rows:
+            totals[tuple(row[:k])] = totals.get(tuple(row[:k]), 0) + row[-1]
+        n = sum(totals.values())
+        dist = ei.covariate_distribution(Dataset(cells=rows, covariate_names=names))
+        assert list(dist.weights.items()) == [(x, c / n) for x, c in totals.items()]
+        assert dist.pattern_array.tolist() == [list(x) for x in totals]
 
     def test_invariant_to_record_order(self, dataset):
         reversed_data = Dataset(

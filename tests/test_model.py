@@ -6,6 +6,8 @@ import epinteract as ei
 from epinteract.data import Dataset
 from epinteract.model import ModelSpec, SpecificationError, Term
 
+from conftest import binary_tables
+
 VARIABLES = ("x1", "x2", "x3", "z1", "z2")
 _product = st.tuples(st.sampled_from(VARIABLES), st.sampled_from(VARIABLES)).filter(
     lambda pair: pair[0] != pair[1]
@@ -123,6 +125,17 @@ class TestExpandDataset:
                 tuple(cell[k:k + 2]), tuple(cell[:k]), spec_full, dataset.covariate_names
             )
             assert np.array_equal(X[i], row)
+
+    @given(binary_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_design_matrix_bit_for_bit(self, table):
+        rows, names, formula = table
+        spec = ei.parse_formula(formula)
+        X, _, _ = ei.expand_dataset(Dataset(cells=rows, covariate_names=names), spec)
+        cells, k = np.array(rows), len(names)
+        expected = ei.design_matrix(cells[:, k:k + 2], cells[:, :k], spec, names)
+        assert (X.dtype, X.shape) == (expected.dtype, expected.shape)
+        assert X.tobytes() == expected.tobytes()
 
     def test_no_covariates_expand_fit_and_measure(self):
         cells = {(0, 0): (3, 10), (0, 1): (5, 12), (1, 0): (4, 9), (1, 1): (8, 11)}
