@@ -21,7 +21,7 @@ config = ei.SimulationConfig(n_draws=20_000, seed=11, levels=(0.50, 0.95))
 sim = ei.simulate(result, spec, dist, config)
 
 print(f"{config.n_draws} draws, seed {config.seed}, "
-      f"{sim.n_clamped_draws} clamped, jitter {sim.jitter:g}\n")
+      f"{sim.n_clamped_draws} clamped\n")
 print(f"{'measure':<8}{'estimate':>10}{'50% CI':>22}{'95% CI':>24}")
 for mid in ei.MEASURE_IDS:
     est = sim[mid]

@@ -26,7 +26,7 @@ from .simci import (COVARIANCE_CHOICES, MAX_FLOATS, NotPositiveSemiDefiniteError
 
 EXIT_OK = 0
 EXIT_INPUT = 2       # CSV / formula / argument problems
-EXIT_SINGULAR = 3    # rank-deficient design
+EXIT_SINGULAR = 3    # rank-deficient design or numerically singular information
 EXIT_NO_CONVERGE = 4  # no usable fit: no convergence, or an unfactorizable covariance
 ROW_BLOCK = 10_000  # draws.csv rows per block; a power of ten, see _index_digits
 
@@ -114,10 +114,8 @@ def _render_report(labels, result_fit, sim, levels):
         label = "DMRD (=DCRD)" if mid == "DMRD" else mid
         lines.append(f"{label:<14}" + "".join(f"{col[i]:>{w}}" for col, w in zip(cells, widths)))
     lines.append("")
-    lines.append(
-        f"simulation: {len(sim[MEASURE_IDS[0]].draws)} draws, "
-        f"{sim.n_clamped_draws} clamped, jitter {sim.jitter:g}"
-    )
+    lines.append(f"simulation: {len(sim[MEASURE_IDS[0]].draws)} draws, "
+                 f"{sim.n_clamped_draws} clamped")
     return "\n".join(lines) + "\n"
 
 
@@ -334,7 +332,7 @@ def summary_dict(sim, fitted, labels, args, levels) -> dict:
     measures["DCRD"] = {"point": sim.point.dcrd, "equals": "DMRD"}
     return {
         "measures": measures,
-        "diagnostics": {"n_clamped_draws": sim.n_clamped_draws, "cholesky_jitter": sim.jitter},
+        "diagnostics": {"n_clamped_draws": sim.n_clamped_draws},
         "coefficients": {name: float(c) for name, c in zip(labels, fitted.coefficients)},
         "covariance_model": fitted.cov_model.tolist(),
         "covariance_robust": fitted.cov_robust.tolist(),

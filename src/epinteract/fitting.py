@@ -124,7 +124,7 @@ def _dispersion(p, design, successes, totals, inv):
     if df <= 0:
         return float("nan"), 0.0 * inv
     phi = _deviance(p, successes, totals) / df
-    with np.errstate(over="ignore"):  # a separated fit's inverse may reach 1e303
+    with np.errstate(over="ignore"):  # a covariance near the float limit overflows to inf
         return phi, phi * inv
 
 
@@ -239,10 +239,22 @@ def fit(design, successes, totals) -> FitResult:
         )
 
     info = _information(p, design, totals)
-    try:  # the design passed _check_rank above
-        cov_model = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        raise SingularDesignError("observed information is singular") from None
+    cov_model = np.full_like(info, np.nan)  # a fit that did not converge has no covariance
+    if converged:
+        try:  # the design passed _check_rank above
+            C = np.linalg.cholesky(info)
+        except np.linalg.LinAlgError:
+            raise SingularDesignError("observed information is singular") from None
+        # C[j, j]**2 / info[j, j] <= 1: share of j's information no earlier column explains
+        share = (np.diag(C) / np.sqrt(np.diag(info))) ** 2
+        bad = np.flatnonzero(share <= 1e3 * len(info) * np.finfo(float).eps)
+        if bad.size:
+            raise SingularDesignError(
+                f"observed information is numerically singular: column {bad[0]} is almost "
+                "a combination of the columns before it", column=int(bad[0]))
+        Cinv = np.linalg.inv(C)
+        with np.errstate(over="ignore"):  # as in _dispersion
+            cov_model = Cinv.T @ Cinv  # I^-1 = C^-T C^-1; numpy hands A'A to syrk
     phi, cov_robust = _dispersion(p, design, successes, totals, cov_model)
     return FitResult(
         coefficients=beta,

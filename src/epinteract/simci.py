@@ -40,7 +40,6 @@ __all__ = [
     "COVARIANCE_CHOICES",
 ]
 
-JITTERS = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 CHUNK = 4096  # draws per Philox stream and per step; part of the stream, bounds temporaries
 # CHUNK must be a multiple of four, so chunked products take the BLAS paths of one whole product
 COVARIANCE_CHOICES = ("robust", "model")  # FitResult.cov_robust or FitResult.cov_model
@@ -50,7 +49,7 @@ MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 class NotPositiveSemiDefiniteError(np.linalg.LinAlgError):
-    """Covariance could not be factorized even with maximal jitter."""
+    """Covariance is not positive definite, so it has no Cholesky factor."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,6 @@ class IntervalEstimate:
 class SimulationResult:
     intervals: dict[str, IntervalEstimate]
     n_clamped_draws: int
-    jitter: float
     point: MeasureSet | None = None  # all measures at the fitted coefficients
 
     def __getitem__(self, measure_id: str) -> IntervalEstimate:
@@ -96,26 +94,19 @@ class SimulationResult:
 
 
 def cholesky(sigma):
-    """Lower-triangular factor of sigma, with escalating diagonal jitter if
-    the plain factorization fails. Returns (L, jitter_used)."""
+    """Lower-triangular factor L of sigma, with L @ L.T == sigma."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("sigma must be square")
-    # rounding leaves an inverse asymmetric in proportion to its largest entry
+    # fit's covariances are exactly symmetric; another's rounding may scale with its largest entry
     if not np.allclose(sigma, sigma.T, atol=1e-8 * max(1.0, np.abs(sigma).max())):
         raise ValueError("sigma must be symmetric")
     if not sigma.any():
-        return np.zeros_like(sigma), 0.0  # degenerate: no parameter uncertainty
-    eye = np.eye(sigma.shape[0])
-    for jitter in JITTERS:
-        try:
-            L = np.linalg.cholesky(sigma + jitter * eye)
-            return L, jitter
-        except np.linalg.LinAlgError:
-            continue
-    raise NotPositiveSemiDefiniteError(
-        "covariance is not positive semi-definite within maximal jitter 1e-6"
-    )
+        return np.zeros_like(sigma)  # degenerate: no parameter uncertainty
+    try:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise NotPositiveSemiDefiniteError("covariance is not positive definite") from None
 
 
 def _normal_block(seed: int, start: int, count: int, k: int) -> np.ndarray:
@@ -136,7 +127,7 @@ def draw_parameters(fit: FitResult, config: SimulationConfig, draw_index: int) -
     """One deterministic draw from N(coefficients, selected covariance)."""
     if not 0 <= draw_index < config.n_draws:
         raise ValueError(f"draw_index {draw_index} outside [0, {config.n_draws})")
-    L, _ = cholesky(config.covariance(fit))
+    L = cholesky(config.covariance(fit))
     # the aligned four rows of its chunk that hold the draw, as in simulate:
     # a one-row product goes to gemv, not gemm
     U = _normal_block(config.seed, draw_index - draw_index % 4, 4, len(fit.coefficients))
@@ -181,7 +172,7 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
     the caller's thread."""
     if not fit.converged:
         raise ValueError("cannot simulate from a non-converged fit")
-    L, jitter = cholesky(config.covariance(fit))
+    L = cholesky(config.covariance(fit))
     values = np.empty((len(MEASURE_IDS), config.n_draws))
     n_clamped = 0
     design = _pattern_design(spec, dist)
@@ -201,6 +192,4 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
         mid: IntervalEstimate(point_values[mid], draws, _endpoints(draws, config.levels))
         for mid, draws in zip(MEASURE_IDS, values)
     }
-    return SimulationResult(
-        intervals=intervals, n_clamped_draws=n_clamped, jitter=jitter, point=point
-    )
+    return SimulationResult(intervals=intervals, n_clamped_draws=n_clamped, point=point)

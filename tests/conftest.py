@@ -38,6 +38,41 @@ FULL_INTERVALS = {
 }
 
 
+def _count_table(rows):
+    """CSV bytes of an (x1, x2, z1, z2) count table written as "/"-separated rows."""
+    return ("x1,x2,z1,z2,successes,totals\n"
+            + "".join(row.strip() + "\n" for row in rows.split("/"))).encode()
+
+
+# Ill-conditioned tables from a seeded sweep of random 16-cell tables (totals
+# 10**U(0, 9), generator seed 7), named by their index in it, each with the
+# formula it is fitted by. A (2132): an LU inverse of its information is
+# asymmetric beyond cholesky's symmetry tolerance. B (3786): its model
+# covariance's least eigenvalue, 1.2e-9, is below an LU inverse's rounding.
+# C (3472): the information is numerically singular (scaled condition number
+# 1e15). D (227): the raw condition number is 6e15, but the scaled one only
+# 1e8, so only a scale-free singularity test lets it through.
+SWEEP_TABLES = {
+    "A": (_count_table("0,0,0,0,47577,110179 / 0,0,0,1,6,7 / 0,1,0,0,127045546,992101409 / "
+                       "0,1,1,0,8112,32308 / 1,0,0,0,1,3 / 1,0,1,0,2,2 / "
+                       "1,0,1,1,379275929,733931009 / 1,1,1,1,700,2853"),
+          "y ~ z1 + z2 + z1:z2 + x1"),
+    "B": (_count_table("0,0,0,0,329,811 / 0,0,0,1,21,53 / 0,0,1,0,6,7 / 0,0,1,1,3,7 / "
+                       "0,1,0,0,2242,4167 / 0,1,0,1,41,655 / 1,0,0,0,150,169 / "
+                       "1,0,1,0,39048,43460 / 1,0,1,1,329780870,515131192 / "
+                       "1,1,0,0,1649,18094 / 1,1,1,0,7413,13485 / 1,1,1,1,315663,383699"),
+          "y ~ z1 + z2 + z1:z2 + x1 + z1:x1 + z2:x1"),
+    "C": (_count_table("0,0,0,0,435639,2040724 / 0,0,1,1,9647723,10452775 / 0,1,0,0,1,14 / "
+                       "0,1,1,1,1,3 / 1,0,0,1,94279,712092 / 1,0,1,0,5,5 / "
+                       "1,1,0,0,214190,218054"),
+          "y ~ z1 + z2 + z1:z2 + x1 + x2"),
+    "D": (_count_table("0,0,1,0,203,206 / 0,0,1,1,3,67 / 0,1,0,0,22457060,22555635 / "
+                       "0,1,0,1,93532,150240 / 0,1,1,1,111,266 / 1,1,0,0,1,2 / "
+                       "1,1,1,0,10132172,29846182 / 1,1,1,1,0,3"),
+          "y ~ z1 + z2 + z1:z2 + x1 + z1:x1 + z2:x1"),
+}
+
+
 @pytest.fixture(scope="session")
 def dataset():
     return ei.load_fixture("nguyen2008")

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,7 +18,7 @@ from epinteract.simci import (COVARIANCE_CHOICES, NotPositiveSemiDefiniteError,
                               SimulationConfig, simulate)
 
 from conftest import (FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL,
-                      gen_wide_module, many_patterns)
+                      SWEEP_TABLES, gen_wide_module, many_patterns)
 
 
 def run_cli(*argv):
@@ -214,6 +215,37 @@ class TestErrorPaths:
         assert rc == cli.EXIT_NO_CONVERGE
         assert err.startswith("error: fitting stage: did not converge")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("covariance", COVARIANCE_CHOICES)
+    @pytest.mark.parametrize("label", ["A", "B", "D"])
+    def test_ill_conditioned_table_gets_finite_nested_intervals(self, tmp_path, label,
+                                                                 covariance):
+        csv_bytes, formula = SWEEP_TABLES[label]
+        table, out = tmp_path / "table.csv", tmp_path / "out"
+        table.write_bytes(csv_bytes)
+        rc, _, err = fresh_cli("--input", str(table), "--formula", formula,
+                               "--covariance", covariance, "--format", "json",
+                               "--out", str(out), flags=("-W", "error"))
+        assert rc == cli.EXIT_OK
+        assert all(line.startswith("warning: ") for line in err.splitlines())
+        intervals = json.loads((out / "report.json").read_text())["measures"]
+        for mid in MEASURE_IDS:
+            (lo50, hi50), (lo95, hi95) = intervals[mid]["intervals"].values()
+            assert all(map(math.isfinite, (lo50, hi50, lo95, hi95)))
+            assert lo95 <= lo50 <= hi50 <= hi95
+
+    @pytest.mark.parametrize("covariance", COVARIANCE_CHOICES)
+    def test_numerically_singular_information_exits_3(self, tmp_path, covariance):
+        csv_bytes, formula = SWEEP_TABLES["C"]
+        table, out = tmp_path / "table.csv", tmp_path / "out"
+        table.write_bytes(csv_bytes)
+        rc, _, err = fresh_cli("--input", str(table), "--formula", formula,
+                               "--covariance", covariance, "--out", str(out),
+                               flags=("-W", "error"))
+        assert rc == cli.EXIT_SINGULAR
+        assert err == ("error: fitting stage: observed information is numerically singular: "
+                       "column 3 is almost a combination of the columns before it\n")
+        assert not out.exists()
 
     def test_bad_levels(self, tmp_path, capsys):
         rc = run_cli(

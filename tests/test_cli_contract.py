@@ -1,16 +1,22 @@
 """The CLI's contract: whatever the table of counts, the bytes of the CSV or
 the option values, a run ends with exit code 0, 2, 3 or 4 and never raises."""
 
+import io
 import tempfile
 from importlib import resources
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+import epinteract as ei
 from epinteract import cli
 
+from conftest import SWEEP_TABLES
+
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_SINGULAR, cli.EXIT_NO_CONVERGE}
-TOTALS = (1, 2, 5, 50, 10**6, 10**9)
+# mixed magnitudes in one table give informations whose scaled and raw
+# condition numbers differ by orders of magnitude
+TOTALS = (1, 2, 5, 50, 10**3, 10**6, 10**7, 10**8, 10**9)
 # the first two use no covariate, so they fit tables with K = 0
 FORMULAS = (
     "y ~ z1",
@@ -21,8 +27,8 @@ FORMULAS = (
 FIXTURE = resources.files("epinteract.fixtures").joinpath("nguyen2008.csv").read_bytes()
 MODEL_25 = "y ~ z1 + z2 + z1:z2 + x1 + x2 + x3 + z1:x2"
 
-# converges with max |beta| 13.4, but its covariance has a condition number
-# near 1e15, so the Cholesky factorization can fail even with jitter
+# converges with max |beta| 13.4, but its information has a condition number
+# near 1e15: the fit refuses it as numerically singular (exit 3)
 ILL_CONDITIONED = b"""x1,x2,z1,z2,successes,totals
 0,0,0,1,1,1000000000
 0,0,1,0,3,5
@@ -38,8 +44,9 @@ ILL_CONDITIONED = b"""x1,x2,z1,z2,successes,totals
 1,0,0,0,3,1000000000
 1,0,0,1,2,2
 """
-# converges, but rounding leaves its covariance (largest entry 5e8)
-# asymmetric by 2e-8 next to a zero entry
+# converges with a covariance whose largest entry is 5e8 next to a zero
+# entry; an inverse of the information computed by LU is asymmetric there by
+# 2e-8, where the Gram matrix of the factor's inverse is exactly symmetric
 ROUNDED_ASYMMETRY = (b"x1,x2,z1,z2,successes,totals\n0,0,0,0,1,1000000\n0,0,1,0,0,1\n"
                      b"1,0,1,0,1,2\n0,1,1,0,1,1\n0,1,0,1,0,1\n0,0,1,1,1,2\n")
 
@@ -91,9 +98,33 @@ def _mutated_fixture(draw):
 @given(case=_tables(), seed=st.integers(0, 99))
 @example(case=(ILL_CONDITIONED, FORMULAS[3]), seed=48)
 @example(case=(ROUNDED_ASYMMETRY, FORMULAS[2]), seed=0)
+@example(case=SWEEP_TABLES["A"], seed=0)
+@example(case=SWEEP_TABLES["B"], seed=0)
+@example(case=SWEEP_TABLES["C"], seed=0)
+@example(case=SWEEP_TABLES["D"], seed=0)
 @settings(max_examples=60, deadline=None)
 def test_random_tables_end_with_a_contract_exit_code(case, seed):
     assert _exit_code(*case, seed) in EXIT_CODES
+
+
+@given(case=_tables())
+@example(case=(ILL_CONDITIONED, FORMULAS[3]))
+@example(case=(ROUNDED_ASYMMETRY, FORMULAS[2]))
+@example(case=SWEEP_TABLES["A"])
+@example(case=SWEEP_TABLES["B"])
+@example(case=SWEEP_TABLES["D"])
+@settings(max_examples=60, deadline=None)
+def test_fitted_covariances_are_exactly_symmetric_and_factor(case):
+    csv_bytes, formula = case
+    try:
+        data = ei.Dataset.from_csv(io.StringIO(csv_bytes.decode()))
+        fitted = ei.fit(*ei.expand_dataset(data, ei.parse_formula(formula, data.variable_names)))
+    except (ei.InputError, ei.SpecificationError, ei.SingularDesignError):
+        return
+    if fitted.converged:
+        for cov in (fitted.cov_model, fitted.cov_robust):
+            assert (cov == cov.T).all()
+            ei.cholesky(cov)
 
 
 @given(data=_mutated_fixture())

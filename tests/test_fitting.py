@@ -17,7 +17,7 @@ from epinteract.fitting import (
     score,
 )
 
-from conftest import FULL_COEFS, FULL_COV_ROBUST, gen_wide_module
+from conftest import FULL_COEFS, FULL_COV_ROBUST, SWEEP_TABLES, gen_wide_module
 
 
 def random_grouped_dataset(rng, n_rows=6, n_params=3):
@@ -249,14 +249,43 @@ class TestRankScreen:
             return _check_rank(design)
 
         def singular(info):
-            raise np.linalg.LinAlgError("Singular matrix")
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(ei.fitting, "_check_rank", spy)
-        monkeypatch.setattr(np.linalg, "inv", singular)
+        monkeypatch.setattr(np.linalg, "cholesky", singular)
         X, s, n = ei.expand_dataset(dataset, spec_full)
         with pytest.raises(SingularDesignError, match="^observed information is singular$"):
             ei.fit(X, s, n)
         assert checks == [X.shape]
+
+    def test_numerically_singular_information_names_its_column(self):
+        csv_bytes, formula = SWEEP_TABLES["C"]
+        data = ei.Dataset.from_csv(io.StringIO(csv_bytes.decode()))
+        X, s, n = ei.expand_dataset(data, ei.parse_formula(formula, data.variable_names))
+        _check_rank(X)  # the design itself has full rank
+        with pytest.raises(SingularDesignError, match="numerically singular: column 3 ") as err:
+            ei.fit(X, s, n)
+        assert err.value.column == 3
+
+
+class TestCovariance:
+    def test_model_covariance_is_the_inverse_information(self, dataset, spec_full):
+        gen_wide = gen_wide_module()
+        wide = ei.Dataset(cells=gen_wide.generate(1), covariate_names=gen_wide.COVARIATE_NAMES)
+        for data, spec in ((dataset, spec_full),
+                           (wide, ei.parse_formula(gen_wide.FORMULA, wide.variable_names))):
+            X, s, n = ei.expand_dataset(data, spec)
+            f = ei.fit(X, s, n)
+            inverse = np.linalg.inv(observed_information(f.coefficients, X, n))
+            scale = np.abs(f.cov_model).max()
+            assert np.abs(f.cov_model - inverse).max() <= 1e-14 * scale
+            np.testing.assert_array_equal(f.cov_robust, f.dispersion * f.cov_model)
+
+    def test_separated_fit_has_no_covariance(self):
+        X = np.array([[1.0, 0.0], [1.0, 1.0]])
+        f = ei.fit(X, np.array([0.0, 9.0]), np.array([9.0, 9.0]))
+        assert not f.converged
+        assert np.isnan(f.cov_model).all() and np.isnan(f.cov_robust).all()
 
 
 @st.composite

@@ -35,32 +35,29 @@ from conftest import FULL_MODEL
 
 class TestCholesky:
     def test_identity(self):
-        L, jitter = cholesky(np.eye(3))
+        L = cholesky(np.eye(3))
         np.testing.assert_array_equal(L, np.eye(3))
-        assert jitter == 0.0
 
     def test_two_by_two(self):
         sigma = np.array([[4.0, 2.0], [2.0, 3.0]])
-        L, jitter = cholesky(sigma)
+        L = cholesky(sigma)
         np.testing.assert_allclose(L, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-12)
         np.testing.assert_allclose(L @ L.T, sigma, atol=1e-12)
-        assert jitter == 0.0
 
     def test_fitted_covariance_reconstructs(self, fit_full):
-        L, _ = cholesky(fit_full.cov_robust)
+        L = cholesky(fit_full.cov_robust)
         np.testing.assert_allclose(L @ L.T, fit_full.cov_robust, atol=1e-10)
 
     def test_zero_matrix(self):
-        L, jitter = cholesky(np.zeros((4, 4)))
+        L = cholesky(np.zeros((4, 4)))
         assert not L.any()
-        assert jitter == 0.0
 
     def test_near_singular_gets_jitter(self):
+        # cholesky adds no diagonal jitter: a singular covariance is refused
         v = np.array([1.0, 1.0])
         sigma = np.outer(v, v)  # rank one
-        L, jitter = cholesky(sigma)
-        assert 0.0 < jitter <= 1e-6
-        np.testing.assert_allclose(L @ L.T, sigma, atol=1e-5)
+        with pytest.raises(NotPositiveSemiDefiniteError):
+            cholesky(sigma)
 
     def test_not_psd_raises(self):
         with pytest.raises(NotPositiveSemiDefiniteError):
@@ -74,8 +71,7 @@ class TestCholesky:
         # an inverted information matrix with a variance of 4e8 can differ
         # from its transpose by 2e-8 next to a zero: 5e-17 of its scale
         sigma = np.array([[4e8, 0.0], [2e-8, 1.0]])
-        L, jitter = cholesky(sigma)
-        assert jitter == 0.0
+        L = cholesky(sigma)
         np.testing.assert_allclose(L @ L.T, np.tril(sigma) + np.tril(sigma, -1).T)
 
 
@@ -113,7 +109,7 @@ class TestDrawParameters:
         sigma = fit_full.cov_robust
         from epinteract.simci import cholesky as chol
 
-        L, _ = chol(sigma)
+        L = chol(sigma)
         U = _normal_block(config.seed, 0, config.n_draws, len(fit_full.coefficients))
         draws = fit_full.coefficients + U @ L.T
         se = np.sqrt(np.diag(sigma) / config.n_draws)
@@ -411,7 +407,7 @@ class TestStream:
         # pass, bit for bit; a last chunk of one row must not change a bit
         config = SimulationConfig(n_draws=n_draws, seed=5)
         sim = simulate(fit_full, spec_full, dist, config)
-        L, _ = cholesky(fit_full.cov_robust)
+        L = cholesky(fit_full.cov_robust)
         U = _normal_block(5, 0, n_draws, len(fit_full.coefficients))
         whole, n_clamped = simci.batch_measures(fit_full.coefficients + U @ L.T, spec_full, dist)
         for mid in ei.MEASURE_IDS:
@@ -540,7 +536,7 @@ def _result_with_draws(columns):
         mid: IntervalEstimate(0.0, np.asarray(col, dtype=float), {})
         for mid, col in zip(ei.MEASURE_IDS, columns)
     }
-    return SimulationResult(intervals=intervals, n_clamped_draws=0, jitter=0.0)
+    return SimulationResult(intervals=intervals, n_clamped_draws=0)
 
 
 SPECIAL_VALUES = [
@@ -669,7 +665,7 @@ class TestExportDrawsCsv:
         result = SimulationResult(
             intervals={mid: IntervalEstimate(0.0, col, {})
                        for mid, col in zip(ei.MEASURE_IDS, columns)},
-            n_clamped_draws=0, jitter=0.0)
+            n_clamped_draws=0)
         fh = io.BytesIO()
         export_draws_csv(result, fh)
         assert fh.getvalue() == _reference_draws_csv(result).encode()
