@@ -135,10 +135,25 @@ def draw_parameters(fit: FitResult, config: SimulationConfig, draw_index: int) -
 
 
 def _endpoints(draws: np.ndarray, levels) -> dict[float, tuple[float, float]]:
-    """The equal-tailed empirical interval at every level, with linear
-    order-statistic interpolation, from one np.quantile call."""
-    ends = np.quantile(draws, [(1.0 + side * level) / 2.0
-                               for level in levels for side in (-1, 1)]).tolist()
+    """The equal-tailed empirical interval at every level, read off draws,
+    which must be sorted ascending, with np.quantile's linear method: at
+    quantile q, v = (n - 1) * q, i = floor(v) and g = v - i, and the endpoint
+    lies between order statistics a = draws[i] and b = draws[i + 1] as
+    a + (b - a) * g when g < 0.5, else b - (b - a) * (1 - g). Every endpoint
+    is NaN when the last draw is. The bits equal np.quantile's, except that
+    where -0.0 and +0.0 meet at an order statistic a zero endpoint takes its
+    sign from the sorted order, np.quantile's from its partition of a copy."""
+    n = len(draws)
+    if np.isnan(draws[-1]):  # NaN sorts last
+        return {level: (np.nan, np.nan) for level in levels}
+    ends = []
+    for level in levels:
+        for side in (-1, 1):
+            v = (n - 1) * ((1.0 + side * level) / 2.0)
+            i = int(v)  # floor: v >= 0
+            g = v - i
+            a, b = draws[i].item(), draws[min(i + 1, n - 1)].item()
+            ends.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g))
     return {level: (ends[2 * j], ends[2 * j + 1]) for j, level in enumerate(levels)}
 
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import json
 import os
 import subprocess
 import sys
@@ -145,6 +146,63 @@ class TestPercentileInterval:
                 c = int(np.ceil(h))
                 expected = draws[f] + (h - f) * (draws[c] - draws[f])
                 assert got == pytest.approx(expected, abs=1e-14)
+
+    @st.composite
+    def sorted_draws(draw):
+        # a few values repeated many times (ties, ±inf, ±0.0, huge and tiny
+        # magnitudes) mixed with normals, sorted, with up to two NaNs last
+        n = draw(st.integers(2, 5000))
+        pool = np.array(draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        draws = np.where(rng.random(n) < draw(st.floats(0, 1)),
+                         rng.choice(pool, size=n), rng.normal(size=n))
+        draws[n - draw(st.integers(0, 2)):] = np.nan
+        return np.sort(draws)
+
+    @settings(max_examples=300, deadline=None)
+    @given(draws=sorted_draws(),
+           extra=st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True), max_size=3))
+    def test_equals_np_quantile(self, draws, extra):
+        # np.quantile's bits, read off the sorted draws without its partition
+        # of a copy; where -0.0 and +0.0 meet, only the sign of a zero
+        # endpoint may differ
+        levels = tuple(sorted({0.5, 0.95, 0.999, *extra}))
+        zeros = np.signbit(draws[draws == 0])
+        both_zeros = zeros.any() and not zeros.all()
+        got = _endpoints(draws, levels)
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(draws, [(1 + side * level) / 2
+                                       for level in levels for side in (-1, 1)])
+        for j, level in enumerate(levels):
+            for end, expected in zip(got[level], want[2 * j:2 * j + 2]):
+                if np.isnan(expected):
+                    assert np.isnan(end), (level, end)
+                elif both_zeros:
+                    assert end == expected, (level, end, expected)
+                else:
+                    assert np.float64(end).tobytes() == expected.tobytes(), (level, end, expected)
+
+    def test_report_endpoints_equal_np_quantile(self, monkeypatch, tmp_path):
+        # the fixture at 100 000 draws: every report.json endpoint is
+        # np.quantile of the run's own draws
+        runs = []
+
+        def keep(*args):
+            runs.append(simulate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "simulate", keep)
+        assert cli.main(["--fixture", "nguyen2008", "--formula", FULL_MODEL,
+                         "--draws", "100000", "--seed", "1", "--levels", "0.5,0.95",
+                         "--format", "json", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        (sim,) = runs
+        for mid in ei.MEASURE_IDS:
+            ends = report["measures"][mid]["intervals"]
+            assert ends == {
+                label: np.quantile(sim[mid].draws, [(1 - level) / 2, (1 + level) / 2]).tolist()
+                for label, level in (("0.5", 0.5), ("0.95", 0.95))
+            }, mid
 
 
 class TestHistogram:
