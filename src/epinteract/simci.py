@@ -5,16 +5,16 @@ Parameter vectors are drawn from N(pi_hat, Sigma_hat) using the fitted
 covariance; each draw is pushed through the measure pipeline and interval
 endpoints are read off the empirical quantiles.
 
-Randomness is counter-based: Philox-4x64 streams keyed by the seed (Salmon
-et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011). Draw i is
-row i % CHUNK of chunk c = i // CHUNK, whose normals are numpy's Generator
-normals (the ziggurat of Marsaglia & Tsang, J. Stat. Software 5(8), 2000)
-from the stream that starts at counter [0, c, 0, 0], read row by row. The
-first m rows of a chunk do not depend on m, so draw i depends only on
-(seed, i), and serial, chunked, per-index or whole-matrix evaluation give
-bit-identical normals. CHUNK is part of the stream: changing it changes the
-draws. simulate makes and evaluates the draws one chunk at a time on the
-caller's thread and starts no other.
+Randomness is keyed by (seed, chunk). Draw i is row i % CHUNK of chunk
+c = i // CHUNK, whose normals are numpy's Generator normals (the ziggurat of
+Marsaglia & Tsang, J. Stat. Software 5(8), 2000) from an SFC64 generator
+seeded by SeedSequence(seed, spawn_key=(c,)), numpy's documented way to make
+independent streams, read row by row. The first m rows of a chunk do not
+depend on m, so draw i depends only on (seed, i), and serial, chunked,
+per-index or whole-matrix evaluation give bit-identical normals. CHUNK is
+part of the stream: changing it changes the draws. simulate makes and
+evaluates the draws one chunk at a time on the caller's thread and starts no
+other.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
     "COVARIANCE_CHOICES",
 ]
 
-CHUNK = 4096  # draws per Philox stream and per step; part of the stream, bounds temporaries
+CHUNK = 4096  # draws per (seed, chunk) stream and per step; part of the stream, bounds temporaries
 # CHUNK must be a multiple of four, so chunked products take the BLAS paths of one whole product
 COVARIANCE_CHOICES = ("robust", "model")  # FitResult.cov_robust or FitResult.cov_model
 # float64 values in the largest array numpy can index, the bound of simulate's
@@ -112,12 +112,13 @@ def cholesky(sigma):
 def _normal_block(seed: int, start: int, count: int, k: int) -> np.ndarray:
     """Standard normals for draws start .. start+count-1, shape (count, k).
     Chunk c holds draws c * CHUNK .. (c + 1) * CHUNK - 1: numpy's Generator
-    normals from the Philox stream at counter [0, c, 0, 0], row by row."""
+    normals from SFC64(SeedSequence(seed, spawn_key=(c,))), row by row."""
     stop = start + count
     pieces = []
     for c in range(start // CHUNK, -(-stop // CHUNK)):
         first = c * CHUNK
-        normals = np.random.Generator(np.random.Philox(key=seed, counter=[0, c, 0, 0]))
+        stream = np.random.SeedSequence(seed, spawn_key=(c,))
+        normals = np.random.Generator(np.random.SFC64(stream))
         rows = normals.standard_normal((min(stop - first, CHUNK), k))
         pieces.append(rows[max(start - first, 0):])
     return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]

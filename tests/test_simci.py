@@ -420,7 +420,8 @@ class TestConfig:
             SimulationConfig(covariance_choice="model_based")
 
     def test_seed_range(self):
-        # Philox keys are 128-bit: anything outside is rejected up front
+        # SimulationConfig's seed range is [0, 2**128): anything outside is
+        # rejected up front
         with pytest.raises(ValueError):
             SimulationConfig(seed=-1)
         with pytest.raises(ValueError):
@@ -491,28 +492,41 @@ class TestStream:
         assert np.isfinite(z).all()
         assert abs(z.mean()) < 0.01 and abs(z.std() - 1.0) < 0.01
 
-    # draws 0 and 4096 at k = 8: the first rows of the streams at counters
-    # [0, 0, 0, 0] and [0, 1, 0, 0]. The draw index is a literal, so a new
-    # CHUNK moves draw 4096 to another row or stream and fails here, as does
-    # any change to numpy's Philox or to its Generator normals (the ziggurat)
+    # draws 0 and 4096 at k = 8: the first rows of chunks 0 and 1. The draw
+    # index is a literal, so a new CHUNK moves draw 4096 to another row or
+    # stream and fails here, as does any change to the (seed, chunk) keying or
+    # to numpy's SFC64, SeedSequence or Generator normals (the ziggurat)
     GOLDEN = {
-        (0, 0): [0.15929546600623282, -1.7741885208017214, 1.3265118818830892,
-                 1.2048090979493156, -0.03910371209917862, -0.5194192970029236,
-                 -1.1132959094272785, -1.7673803015404892],
-        (0, 4096): [0.9828757014629881, 0.582339371282191, 0.10606681482062819,
-                    -0.6266500874014005, 0.7382778373614048, 0.4022594861713014,
-                    0.3847799269685375, -0.7735401644008555],
-        (2**128 - 1, 0): [0.6313842391058808, -1.1589078121430747, -1.4343318739191726,
-                          1.0477275891445663, -0.37472399567574516, -0.15903597179428336,
-                          -0.22552666007565395, -0.2356943314440165],
-        (2**128 - 1, 4096): [0.633489672896794, 1.8807830357078021, 0.3062685637249928,
-                             -1.08976109360025, -0.015273734507027334, -0.7506095007331434,
-                             -0.11788811698962157, 0.9162317912387097],
+        (0, 0): [-0.5504811808293575, 0.5197080686753037, 0.23055672602603425,
+                 0.5962049767396235, -0.781511832030868, -1.5973617357447034,
+                 1.0328581837813788, 1.3831322946060869],
+        (0, 4096): [0.6102401562409981, 0.19051316586596187, -0.13357070129219653,
+                    -0.6600521038836318, -0.3074686909375674, 1.2545880707711712,
+                    -0.7841454574681547, 0.47953710996907056],
+        (2**128 - 1, 0): [1.8641589329219541, 0.21796836185730112, 0.9323434987704686,
+                          0.4342025392898749, 0.49755392573034884, -1.9481253062667319,
+                          -1.1979025895584172, 0.5147482956427322],
+        (2**128 - 1, 4096): [0.29412639860385337, -2.4416783457833287, -0.7441835584727573,
+                             -1.7195813835473697, -0.12910813770963628, -1.5678589015008861,
+                             -0.027714584817888216, -2.3674448944200295],
     }
 
     @pytest.mark.parametrize("seed, draw", list(GOLDEN), ids=str)
     def test_golden_normals(self, seed, draw):
         np.testing.assert_array_equal(_normal_block(seed, draw, 1, 8)[0], self.GOLDEN[seed, draw])
+
+    def test_no_two_seed_chunk_pairs_share_a_stream(self):
+        # the first row of every chunk (s, c): a keying that folds the chunk
+        # into the seed, such as SFC64(seed + c) or SeedSequence(seed ^ c),
+        # gives two pairs one stream
+        k = 8
+        rows = {(s, c): _normal_block(s, c * CHUNK, 1, k)[0]
+                for s in (0, 1, 2, 2**64, 2**128 - 1) for c in (0, 1, 2)}
+        assert len({row.tobytes() for row in rows.values()}) == len(rows)
+        # the stream's definition, stated once outside the package
+        stream = np.random.SFC64(np.random.SeedSequence(2**64, spawn_key=(2,)))
+        np.testing.assert_array_equal(
+            rows[2**64, 2], np.random.Generator(stream).standard_normal((1, k))[0])
 
     @pytest.mark.parametrize("n_draws", [10, CHUNK + 1])
     def test_run_is_a_prefix_of_a_longer_run(self, fit_full, spec_full, dist, monkeypatch,
