@@ -21,7 +21,7 @@ for x, w in sorted(dist.weights.items()):
 
 for formula in (ei.model_25_formula, ei.model_26_formula):
     print(f"\n=== {formula} ===")
-    spec = ei.parse_formula(formula, data.variable_names)
+    spec = ei.parse_formula(formula)
     X, s, n = ei.expand_dataset(data, spec)
     result = ei.fit(X, s, n)
     assert result.converged

@@ -18,7 +18,7 @@ import epinteract as ei
 
 data = ei.load_fixture("nguyen2008")
 dist = ei.covariate_distribution(data)
-spec = ei.parse_formula(ei.model_25_formula, data.variable_names)
+spec = ei.parse_formula(ei.model_25_formula)
 X, s, n = ei.expand_dataset(data, spec)
 result = ei.fit(X, s, n)
 coef = result.coefficients

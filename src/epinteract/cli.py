@@ -50,19 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='model formula, e.g. "y ~ z1 + z2 + z1:z2 + x1 + x2 + x3 + z1:x2"',
     )
-    p.add_argument("--draws", type=int, default=1000, help="simulation draws")
-    p.add_argument("--seed", type=int, default=0, help="simulation seed")
-    p.add_argument(
-        "--levels",
-        default="0.50,0.95",
-        help="comma-separated central confidence levels",
-    )
-    p.add_argument(
-        "--covariance",
-        choices=COVARIANCE_CHOICES,
-        default="robust",
-        help="covariance matrix used for parameter draws",
-    )
+    # a simulation setting left out takes SimulationConfig's default
+    p.add_argument("--draws", type=int, help="simulation draws")
+    p.add_argument("--seed", type=int, help="simulation seed")
+    p.add_argument("--levels", help="comma-separated central confidence levels")
+    p.add_argument("--covariance", choices=COVARIANCE_CHOICES,
+                   help="covariance matrix used for parameter draws")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument(
         "--format",
@@ -124,6 +117,18 @@ def _error(message, code=EXIT_INPUT) -> int:
     return code
 
 
+def simulation_config(args) -> SimulationConfig:
+    """The run's simulation settings from parsed arguments; each one the
+    command line leaves out takes SimulationConfig's default."""
+    given = {"n_draws": args.draws, "seed": args.seed, "covariance_choice": args.covariance}
+    if args.levels is not None:
+        try:
+            given["levels"] = tuple(float(t) for t in args.levels.split(","))
+        except ValueError:
+            raise ValueError(f"cannot parse levels {args.levels!r}") from None
+    return SimulationConfig(**{name: v for name, v in given.items() if v is not None})
+
+
 def run(args) -> int:
     out = Path(args.out)
     formats = {f.strip() for f in args.format.split(",") if f.strip()}
@@ -132,10 +137,6 @@ def run(args) -> int:
         return _error(f"unknown output format(s) {sorted(bad)}")
     if not formats:
         return _error("--format names no output format")
-    try:
-        levels = tuple(float(t) for t in args.levels.split(","))
-    except ValueError:
-        return _error(f"cannot parse levels {args.levels!r}")
     if not 1 <= args.bins < MAX_FLOATS:
         return _error(f"--bins must lie in [1, {MAX_FLOATS}), got {args.bins}")
     try:
@@ -143,8 +144,7 @@ def run(args) -> int:
     except MemoryError as exc:
         return _error(f"--bins {args.bins}: {exc}")
     try:
-        config = SimulationConfig(n_draws=args.draws, seed=args.seed, levels=levels,
-                                  covariance_choice=args.covariance)
+        config = simulation_config(args)
     except ValueError as exc:
         return _error(f"simulation config: {exc}")
     try:
@@ -182,19 +182,19 @@ def run(args) -> int:
     except NotPositiveSemiDefiniteError as exc:
         return _error(f"simulation stage: {exc}", EXIT_NO_CONVERGE)
     if not config.covariance(fitted).any():
-        print(f"warning: the {args.covariance} covariance is all zeros, so every "
+        print(f"warning: the {config.covariance_choice} covariance is all zeros, so every "
               "interval equals its point estimate", file=sys.stderr)
-    elif args.covariance == "robust" and fitted.dispersion < 1:  # NaN compares False
+    elif config.covariance_choice == "robust" and fitted.dispersion < 1:  # NaN compares False
         print(f"warning: the dispersion {fitted.dispersion:.3g} is below 1, so the robust "
               "intervals are narrower than the model-based ones", file=sys.stderr)
     if sim.n_clamped_draws:
-        print(f"warning: {sim.n_clamped_draws} of {args.draws} draws had a risk "
+        print(f"warning: {sim.n_clamped_draws} of {config.n_draws} draws had a risk "
               f"clamped to within {RISK_CLAMP:g} of 0 or 1", file=sys.stderr)
     labels = spec.term_labels
-    report = _render_report(labels, fitted, sim, levels) if "table" in formats else None
+    report = _render_report(labels, fitted, sim, config.levels) if "table" in formats else None
     try:
         _write_bundle(out, lambda stage: _write_files(
-            stage, formats, args, levels, labels, fitted, sim, report))
+            stage, formats, args, config, labels, fitted, sim, report))
     except (OSError, MemoryError) as exc:
         return _error(f"output stage: {exc}")
     if report is not None:
@@ -223,7 +223,7 @@ def _write_bundle(out: Path, write) -> None:
         raise
 
 
-def _write_files(stage, formats, args, levels, labels, fitted, sim, report):
+def _write_files(stage, formats, args, config, labels, fitted, sim, report):
     """Write every requested output file into the directory stage."""
     def create(name):
         return open(stage / name, "w", newline="", encoding="utf-8")
@@ -243,10 +243,10 @@ def _write_files(stage, formats, args, levels, labels, fitted, sim, report):
             _write_rows(
                 fh,
                 ["measure", "estimate"]
-                + [f"{side}_{_level_label(level)}" for level in levels
+                + [f"{side}_{_level_label(level)}" for level in config.levels
                    for side in ("lower", "upper")],
                 [[mid, repr(float(sim[mid].point))]
-                 + [repr(float(v)) for level in levels for v in sim[mid].endpoints[level]]
+                 + [repr(float(v)) for level in config.levels for v in sim[mid].endpoints[level]]
                  for mid in MEASURE_IDS],
             )
         with open(stage / "draws.csv", "wb") as fh:
@@ -258,7 +258,7 @@ def _write_files(stage, formats, args, levels, labels, fitted, sim, report):
                     for left, right, count in histogram(sim[mid].draws, args.bins)
                 ])
     if "json" in formats:
-        bundle = summary_dict(sim, fitted, labels, args, levels)
+        bundle = summary_dict(sim, fitted, labels, args.formula, config)
         with create("report.json") as fh:
             fh.write(json.dumps(bundle, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
@@ -317,15 +317,15 @@ def export_draws_csv(sim, fh) -> None:
     fh.write(b"\n")
 
 
-def summary_dict(sim, fitted, labels, args, levels) -> dict:
+def summary_dict(sim, fitted, labels, formula, config) -> dict:
     """The report.json bundle: measures with their interval endpoints,
     coefficients, covariances, fit and simulation diagnostics, and the
-    run's settings."""
+    run's formula and simulation settings."""
     measures = {
         mid: {
             "point": sim[mid].point,
             "intervals": {_level_label(level): list(sim[mid].endpoints[level])
-                          for level in levels},
+                          for level in config.levels},
         }
         for mid in MEASURE_IDS
     }
@@ -344,8 +344,8 @@ def summary_dict(sim, fitted, labels, args, levels) -> dict:
             "dispersion": fitted.dispersion if math.isfinite(fitted.dispersion) else None,
         },
         "population_risks": {f"z={z}": v for z, v in sim.point.population_risks.items()},
-        "config": {"formula": args.formula, "draws": args.draws, "seed": args.seed,
-                   "levels": list(levels), "covariance": args.covariance},
+        "config": {"formula": formula, "draws": config.n_draws, "seed": config.seed,
+                   "levels": list(config.levels), "covariance": config.covariance_choice},
     }
 
 

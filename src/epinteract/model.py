@@ -122,11 +122,12 @@ def expand_dataset(data: Dataset, spec: ModelSpec):
     return X, cells[:, -2].astype(float), cells[:, -1].astype(float)
 
 
-def parse_formula(text: str, header=None) -> ModelSpec:
+def parse_formula(text: str) -> ModelSpec:
     """Parse "y ~ z1 + z2 + z1:z2 + x1" into a ModelSpec.
 
-    The intercept is implicit. ":" denotes a pairwise product. When `header`
-    is given, every variable must appear in it. A term may appear only once.
+    The intercept is implicit. ":" denotes a pairwise product. A term may
+    appear only once. Variables are checked against the data by
+    `design_matrix`.
     """
     if not text or not text.strip():
         raise SpecificationError("empty formula")
@@ -150,7 +151,4 @@ def parse_formula(text: str, header=None) -> ModelSpec:
                 "products are supported"
             )
         terms.append(Term(tuple(parts)))
-    spec = ModelSpec(terms=tuple(terms))
-    if header is not None:
-        _check_variables(spec, header)
-    return spec
+    return ModelSpec(terms=tuple(terms))

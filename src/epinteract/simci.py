@@ -54,6 +54,7 @@ class NotPositiveSemiDefiniteError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """A run's simulation settings; the CLI takes its defaults from here."""
     n_draws: int = 1000
     seed: int = 0
     levels: tuple[float, ...] = (0.50, 0.95)

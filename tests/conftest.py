@@ -84,13 +84,13 @@ def dist(dataset):
 
 
 @pytest.fixture(scope="session")
-def spec_full(dataset):
-    return ei.parse_formula(FULL_MODEL, dataset.variable_names)
+def spec_full():
+    return ei.parse_formula(FULL_MODEL)
 
 
 @pytest.fixture(scope="session")
-def spec_reduced(dataset):
-    return ei.parse_formula(REDUCED_MODEL, dataset.variable_names)
+def spec_reduced():
+    return ei.parse_formula(REDUCED_MODEL)
 
 
 @pytest.fixture(scope="session")

@@ -577,6 +577,24 @@ class TestSimulationStage:
         [action] = [a for a in cli.build_parser()._actions if a.dest == "covariance"]
         assert tuple(action.choices) == COVARIANCE_CHOICES
 
+    def test_parser_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["--fixture", "nguyen2008", "--formula", "y ~ z1"])
+        assert cli.simulation_config(args) == SimulationConfig()
+
+    @pytest.mark.parametrize("options, config", [
+        ((), SimulationConfig()),
+        (("--draws", "10", "--seed", "3", "--levels", "0.9", "--covariance", "model"),
+         SimulationConfig(n_draws=10, seed=3, levels=(0.9,), covariance_choice="model")),
+    ])
+    def test_report_config_is_the_config_used(self, tmp_path, options, config):
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL, *options,
+                     "--format", "json", "--out", str(tmp_path))
+        assert rc == cli.EXIT_OK
+        bundle = json.loads((tmp_path / "report.json").read_text())
+        assert bundle["config"] == {
+            "formula": FULL_MODEL, "draws": config.n_draws, "seed": config.seed,
+            "levels": list(config.levels), "covariance": config.covariance_choice}
+
     def test_model_covariance(self, tmp_path, fit_full):
         rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL, "--draws", "10",
                      "--covariance", "model", "--format", "json", "--out", str(tmp_path))

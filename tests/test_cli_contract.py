@@ -118,7 +118,7 @@ def test_fitted_covariances_are_exactly_symmetric_and_factor(case):
     csv_bytes, formula = case
     try:
         data = ei.Dataset.from_csv(io.StringIO(csv_bytes.decode()))
-        fitted = ei.fit(*ei.expand_dataset(data, ei.parse_formula(formula, data.variable_names)))
+        fitted = ei.fit(*ei.expand_dataset(data, ei.parse_formula(formula)))
     except (ei.InputError, ei.SpecificationError, ei.SingularDesignError):
         return
     if fitted.converged:

@@ -235,7 +235,7 @@ class TestRankScreen:
         gen_wide = gen_wide_module()
         wide = ei.Dataset(cells=gen_wide.generate(1), covariate_names=gen_wide.COVARIATE_NAMES)
         designs = [ei.expand_dataset(dataset, spec_full)[0], ei.expand_dataset(
-            wide, ei.parse_formula(gen_wide.FORMULA, wide.variable_names))[0]]
+            wide, ei.parse_formula(gen_wide.FORMULA))[0]]
         assert designs[1].shape == (gen_wide.N_CELLS, gen_wide.N_PARAMETERS)
         monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # importing it fails
         for X in designs:
@@ -261,7 +261,7 @@ class TestRankScreen:
     def test_numerically_singular_information_names_its_column(self):
         csv_bytes, formula = SWEEP_TABLES["C"]
         data = ei.Dataset.from_csv(io.StringIO(csv_bytes.decode()))
-        X, s, n = ei.expand_dataset(data, ei.parse_formula(formula, data.variable_names))
+        X, s, n = ei.expand_dataset(data, ei.parse_formula(formula))
         _check_rank(X)  # the design itself has full rank
         with pytest.raises(SingularDesignError, match="numerically singular: column 3 ") as err:
             ei.fit(X, s, n)
@@ -273,7 +273,7 @@ class TestCovariance:
         gen_wide = gen_wide_module()
         wide = ei.Dataset(cells=gen_wide.generate(1), covariate_names=gen_wide.COVARIATE_NAMES)
         for data, spec in ((dataset, spec_full),
-                           (wide, ei.parse_formula(gen_wide.FORMULA, wide.variable_names))):
+                           (wide, ei.parse_formula(gen_wide.FORMULA))):
             X, s, n = ei.expand_dataset(data, spec)
             f = ei.fit(X, s, n)
             inverse = np.linalg.inv(observed_information(f.coefficients, X, n))
@@ -307,7 +307,7 @@ def grid_csv(draw):
 def fit_csv(header, lines, formula):
     """MLE and measures of a CSV table, read by the CLI's own path."""
     data = ei.Dataset.from_csv(io.StringIO(header + "\n" + "\n".join(lines) + "\n"))
-    spec = ei.parse_formula(formula, data.variable_names)
+    spec = ei.parse_formula(formula)
     f = ei.fit(*ei.expand_dataset(data, spec))
     assert f.converged
     dist = ei.covariate_distribution(data)

@@ -87,7 +87,7 @@ def wide():
     coefficients."""
     gen_wide = gen_wide_module()
     data = ei.Dataset(cells=gen_wide.generate(1), covariate_names=gen_wide.COVARIATE_NAMES)
-    spec = ei.parse_formula(gen_wide.FORMULA, data.variable_names)
+    spec = ei.parse_formula(gen_wide.FORMULA)
     beta = ei.fit(*ei.expand_dataset(data, spec)).coefficients
     return gen_wide.FORMULA, data, spec, ei.covariate_distribution(data), beta
 
@@ -246,7 +246,7 @@ class TestMeasureSet:
         # the fixture with its covariate columns stored as x2, x1, x3
         reordered = ei.Dataset(cells=dataset.cells[:, [1, 0, *range(2, 7)]],
                                covariate_names=("x2", "x1", "x3"))
-        spec = ei.parse_formula(FULL_MODEL, reordered.variable_names)
+        spec = ei.parse_formula(FULL_MODEL)
         f = ei.fit(*ei.expand_dataset(reordered, spec))
         dist_r = ei.covariate_distribution(reordered)
         config = ei.SimulationConfig(n_draws=10, seed=3)
@@ -397,7 +397,7 @@ class TestFactoredPredictor:
 
     @staticmethod
     def eta(formula, data, beta):
-        spec = ei.parse_formula(formula, data.variable_names)
+        spec = ei.parse_formula(formula)
         dist = ei.covariate_distribution(data)
         Q, rcor_ = predictors(beta[None], _pattern_design(spec, dist))
         return -Q[:, 0], rcor_[0], spec, dist
@@ -435,7 +435,7 @@ class TestFactoredPredictor:
 
     def test_rcor_without_z1z2_is_the_weight_sum(self, dataset):
         formula = self.FORMULAS["no_z1z2"]
-        spec = ei.parse_formula(formula, dataset.variable_names)
+        spec = ei.parse_formula(formula)
         dist = ei.covariate_distribution(dataset)
         beta = np.random.default_rng(14).normal(0, 1.0, len(spec.terms))
         ms = ei.measure_set(beta, spec, dist)
@@ -620,7 +620,7 @@ class TestPatternTiles:
     def test_swapping_exposures_gives_the_same_bits(self, wide):
         formula, data, spec, dist, beta = wide
         swapped, data_s = TestFactoredPredictor.swap(formula, data)
-        spec_s = ei.parse_formula(swapped, data_s.variable_names)
+        spec_s = ei.parse_formula(swapped)
         dist_s = ei.covariate_distribution(data_s)
         B = self.draws(beta, 8)
         Q, rcor_ = predictors(B, _pattern_design(spec, dist))
@@ -708,7 +708,7 @@ class TestClampBound:
     def wide_draws():
         gen_wide = gen_wide_module()
         data = ei.Dataset(cells=gen_wide.generate(1), covariate_names=gen_wide.COVARIATE_NAMES)
-        spec = ei.parse_formula(gen_wide.FORMULA, data.variable_names)
+        spec = ei.parse_formula(gen_wide.FORMULA)
         beta = ei.fit(*ei.expand_dataset(data, spec)).coefficients
         B = beta + np.random.default_rng(21).normal(0, 0.05, size=(61, len(beta)))
         return B, spec, ei.covariate_distribution(data)
@@ -751,7 +751,7 @@ class TestClampBound:
         # the constructor accepts a covariate of 2: x1 = 2 doubles beta_x1's
         # share of eta, so a bound that took covariates as 0/1 would miss it
         dist = CovariateDistribution(weights={(0,): 0.5, (2,): 0.5}, covariate_names=("x1",))
-        spec = ei.parse_formula("y ~ z1 + z2 + z1:z2 + x1", ("x1", "z1", "z2"))
+        spec = ei.parse_formula("y ~ z1 + z2 + z1:z2 + x1")
         beta = np.array([0.0, 0.0, 0.0, 0.0, 0.6 * LOGIT_CLAMP])
         assert ei.measure_set(beta, spec, dist).clamped
         assert ei.measures.batch_measures(beta[None], spec, dist)[1] == 1

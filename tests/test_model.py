@@ -143,7 +143,7 @@ class TestExpandDataset:
             cells=[(*z, s, n) for z, (s, n) in cells.items()],
             covariate_names=(),
         )
-        spec = ei.parse_formula("y ~ z1 + z2", data.variable_names)
+        spec = ei.parse_formula("y ~ z1 + z2")
         X, s, n = ei.expand_dataset(data, spec)
         assert X.tolist() == [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
         f = ei.fit(X, s, n)
@@ -167,10 +167,8 @@ class TestParseFormula:
         assert len(spec.terms) == 4
         assert spec.terms[0] == Term()
 
-    def test_full_model_term_count(self, dataset):
-        spec = ei.parse_formula(
-            "y ~ z1 + z2 + z1:z2 + x1 + x2 + x3 + z1:x2", dataset.variable_names
-        )
+    def test_full_model_term_count(self):
+        spec = ei.parse_formula("y ~ z1 + z2 + z1:z2 + x1 + x2 + x3 + z1:x2")
         assert len(spec.terms) == 8
 
     def test_duplicate_rejected(self):
@@ -178,10 +176,6 @@ class TestParseFormula:
             ei.parse_formula("y ~ z1 + z1")
         with pytest.raises(SpecificationError, match="duplicate"):
             ei.parse_formula("y ~ z1:z2 + z2:z1")
-
-    def test_unknown_variable_with_header(self):
-        with pytest.raises(SpecificationError, match="q"):
-            ei.parse_formula("y ~ q", header=("x1", "z1", "z2"))
 
     def test_duplicate_names_the_term(self):
         for text, label in (("y ~ x1 + z1 + z1", "z1"), ("y ~ z1:z2 + x1 + z2:z1", "z1:z2")):
@@ -215,9 +209,4 @@ class TestUnknownVariables:
     def test_expand_dataset(self, dataset):
         with pytest.raises(SpecificationError) as err:
             ei.expand_dataset(dataset, ei.parse_formula("y ~ z1 + q + w:z2"))
-        assert str(err.value) == self.MESSAGE
-
-    def test_parse_formula_with_header(self, dataset):
-        with pytest.raises(SpecificationError) as err:
-            ei.parse_formula("y ~ z1 + q + w:z2", dataset.variable_names)
         assert str(err.value) == self.MESSAGE
