@@ -30,6 +30,7 @@ __all__ = [
 
 # the CSV header ends with the two exposures and the two counts
 EXPOSURE_NAMES = ("z1", "z2")
+EXPOSURE_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (z1, z2); per-pair arrays keep this order
 COUNT_NAMES = ("successes", "totals")
 
 
@@ -159,10 +160,6 @@ class Dataset:
     @property
     def n_total(self) -> int:
         return int(self.cells[:, -1].sum())
-
-    @property
-    def variable_names(self) -> tuple[str, ...]:
-        return self.covariate_names + EXPOSURE_NAMES
 
     @classmethod
     def from_csv(cls, source) -> "Dataset":

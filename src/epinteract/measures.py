@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EXPOSURE_NAMES, CovariateDistribution
-from .model import ModelSpec, design_matrix
+from .data import EXPOSURE_LEVELS, CovariateDistribution
+from .model import ModelSpec, pattern_design
 
 __all__ = [
     "RiskTable",
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 MEASURE_IDS = ("RCOR", "RCRR", "RMOR", "RMRR", "DMRD")
-EXPOSURE_LEVELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 # risks are kept inside [RISK_CLAMP, 1 - RISK_CLAMP], so simulation draws
 # with extreme linear predictors stay finite: the linear predictor is clipped
@@ -110,28 +109,21 @@ class MeasureSet:
         return self.dmrd
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "RCOR": self.rcor,
-            "RCRR": self.rcrr,
-            "RMOR": self.rmor,
-            "RMRR": self.rmrr,
-            "DMRD": self.dmrd,
-        }
+        return {mid: getattr(self, mid.lower()) for mid in MEASURE_IDS}
 
 
 def _pattern_design(spec: ModelSpec, dist: CovariateDistribution):
-    """The design at z = (1, 1): the columns of the terms with no exposure,
-    with z1 only and with z2 only; the tiles, each a slice of at most
-    PATTERN_TILE patterns, the groups' designs D (len(columns), tile width)
-    and weights; the column of z1:z2 (None without that term); each column's
-    largest |entry| per tile (k, tiles) and the weights (S,). At z = (1, 1)
-    every term is largest, so |eta| <= sum_j |beta_j| * colmax_j in a tile."""
+    """The design at z = (1, 1): the columns on at (0, 0) (no exposure) and
+    those on at (1, 0), or at (0, 1), but not at (0, 0) (z1 only, z2 only);
+    the tiles, each a slice of at most PATTERN_TILE patterns, the groups'
+    designs D (len(columns), tile width) and weights; the z1:z2 column, on at
+    (1, 1) alone (None without it); each column's largest |entry| per tile
+    (k, tiles) and the weights (S,). At z = (1, 1) every term is largest, so
+    |eta| <= sum_j |beta_j| * colmax_j in a tile."""
     w = dist.weight_array
-    T = design_matrix(np.ones((len(w), 2)), dist.pattern_array, spec, dist.covariate_names)
-    exposures = [tuple(v for v in t.variables if v in EXPOSURE_NAMES) for t in spec.terms]
-    z1, z2 = EXPOSURE_NAMES
-    groups = [[j for j, e in enumerate(exposures) if e == g] for g in ((), (z1,), (z2,))]
-    j12 = exposures.index(EXPOSURE_NAMES) if EXPOSURE_NAMES in exposures else None
+    T, on = pattern_design(spec, dist.pattern_array, dist.covariate_names)
+    groups = [np.flatnonzero(g) for g in (on[0], on[2] > on[0], on[1] > on[0])]
+    [j12] = np.flatnonzero(on[3] > (on[1] | on[2])).tolist() or [None]
     cuts = [slice(i, i + PATTERN_TILE) for i in range(0, len(w), PATTERN_TILE)]
     tiles = [(s, [T[s, g].T for g in groups], w[s]) for s in cuts]
     colmax = np.stack([np.abs(T[s]).max(axis=0) for s in cuts], axis=1)

@@ -10,13 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EXPOSURE_NAMES, Dataset
+from .data import EXPOSURE_LEVELS, EXPOSURE_NAMES, Dataset
 
 __all__ = [
     "Term",
     "ModelSpec",
     "SpecificationError",
     "design_matrix",
+    "pattern_design",
     "expand_dataset",
     "parse_formula",
     "model_25_formula",
@@ -107,18 +108,23 @@ def design_matrix(exposures, covariates, spec: ModelSpec, covariate_names=None):
     return D
 
 
+def pattern_design(spec: ModelSpec, patterns, covariate_names):
+    """The design rows (S, k) of the pattern rows (S, K) at z = (1, 1), and
+    the (4, k) mask of the columns that can be nonzero at each exposure pair,
+    in EXPOSURE_LEVELS order: those whose exposures are all 1 there."""
+    S, K = np.shape(patterns)
+    T = design_matrix(np.ones((S, 2)), patterns, spec, covariate_names)
+    return T, design_matrix(EXPOSURE_LEVELS, np.ones((4, K)), spec, covariate_names) > 0
+
+
 def expand_dataset(data: Dataset, spec: ModelSpec):
-    """Build (design matrix, successes, totals) with one row per cell, in
-    dataset order: its pattern's design at z = (1, 1), times its exposure
-    pair's 0/1 row. Every entry is a product of 0/1 values, so the rows equal
-    `design_matrix` at the cells exactly."""
-    (patterns, group), names = data.pattern_rows(), data.covariate_names
-    cells, k = data.cells, len(names)
-    T = design_matrix(np.ones((len(patterns), 2)), patterns, spec, names)
-    # row 2 * z1 + z2 is nonzero in the terms nonzero at the exposure pair (z1, z2)
-    keep = design_matrix([(0, 0), (0, 1), (1, 0), (1, 1)], np.ones((4, k)), spec, names) > 0
+    """(design matrix, successes, totals), one row per cell in dataset order:
+    its pattern's design at z = (1, 1) times its exposure pair's mask row, 0/1
+    products that equal `design_matrix` at the cells exactly."""
+    (patterns, group), cells, k = data.pattern_rows(), data.cells, len(data.covariate_names)
+    T, on = pattern_design(spec, patterns, data.covariate_names)
     X = T[group]
-    X *= keep[2 * cells[:, k] + cells[:, k + 1]]
+    X *= on[2 * cells[:, k] + cells[:, k + 1]]
     return X, cells[:, -2].astype(float), cells[:, -1].astype(float)
 
 

@@ -106,7 +106,6 @@ class TestFixture:
 
     def test_covariate_names(self, dataset):
         assert dataset.covariate_names == ("x1", "x2", "x3")
-        assert dataset.variable_names == ("x1", "x2", "x3", "z1", "z2")
 
     def test_unknown_fixture(self):
         with pytest.raises(InputError):
@@ -174,6 +173,11 @@ class TestCovariateDistribution:
             ei.CovariateDistribution(weights=weights)
         assert str(err.value) == "weights must lie in [0, 1]"
 
+    def test_weights_must_sum_to_one(self):
+        with pytest.raises(InputError) as err:
+            ei.CovariateDistribution(weights={(0,): 0.5, (1,): 0.25})
+        assert str(err.value) == "weights must sum to 1, got 0.75"
+
     def test_ragged_patterns_refused(self):
         # without names there is no width to compare with, but a ragged
         # table is no (S, K) pattern array
@@ -203,6 +207,8 @@ class TestCovariateDistribution:
             dist.weights = {}
         with pytest.raises(dataclasses.FrozenInstanceError):
             dist.covariate_names = ("a", "b", "c")
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete"):
+            del dist.weight_array
 
     @given(binary_tables(max_total=2**57))
     @example(([[0, 0, 0, 1, BIG_TOTALS[0]], [1, 0, 0, 1, BIG_TOTALS[1]]], ("x1",), "y ~ z1"))
@@ -247,6 +253,20 @@ class TestCsv:
         assert again == data
         assert again.covariate_names == ()
         assert ei.covariate_distribution(again).weights == {(): 1.0}
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(InputError) as err:
+            Dataset.from_csv(path)
+        assert str(err.value) == "empty CSV: no header row"
+
+    def test_equality_and_hash(self, dataset):
+        copy = Dataset(cells=dataset.cells.copy(), covariate_names=dataset.covariate_names)
+        assert copy == dataset and hash(copy) == hash(dataset)
+        assert (dataset == 3) is False
+        assert dataset != Dataset(cells=dataset.cells[::-1],
+                                  covariate_names=dataset.covariate_names)
 
     def test_malformed_row_cites_line(self):
         text = "x1,z1,z2,successes,totals\n0,0,0,1,2\n0,1,oops,1,2\n"

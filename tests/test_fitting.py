@@ -59,6 +59,16 @@ class TestFit:
         g = score(fit_full.coefficients, X, s, n)
         assert np.max(np.abs(g)) < 1e-6
 
+    def test_one_dimensional_design_refused(self):
+        with pytest.raises(ValueError) as err:
+            ei.fit(np.ones(2), np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+        assert str(err.value) == "design must be a 2-D matrix"
+
+    def test_successes_over_totals_refused(self):
+        with pytest.raises(ValueError) as err:
+            ei.fit(np.ones((2, 1)), np.array([1.0, 3.0]), np.array([2.0, 2.0]))
+        assert str(err.value) == "counts must satisfy 0 <= successes <= totals, totals >= 1"
+
     def test_rank_deficient_design_named(self):
         X = np.array([[1.0, 1.0, 2.0], [1.0, 0.0, 0.0], [1.0, 1.0, 2.0], [1.0, 0.0, 0.0]])
         with pytest.raises(SingularDesignError) as err:

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epinteract as ei
-from epinteract.data import CovariateDistribution
+from epinteract.data import EXPOSURE_NAMES, CovariateDistribution
 from epinteract.measures import (EXPOSURE_LEVELS, LOGIT_CLAMP, PATTERN_TILE, RiskTable,
                                  _contrast, _measures, _pattern_design, _predictors)
 from epinteract.model import design_matrix
 
 from conftest import (FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL,
-                      gen_wide_module, random_risk_table)
+                      binary_tables, gen_wide_module, random_risk_table)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +401,26 @@ class TestFactoredPredictor:
         dist = ei.covariate_distribution(data)
         Q, rcor_ = predictors(beta[None], _pattern_design(spec, dist))
         return -Q[:, 0], rcor_[0], spec, dist
+
+    @staticmethod
+    def scanned_groups(spec):
+        """The columns of the terms with no exposure, with z1 only and with z2
+        only, and the z1:z2 column or None, read off each term's exposure
+        variables."""
+        exposures = [tuple(v for v in t.variables if v in EXPOSURE_NAMES) for t in spec.terms]
+        z1, z2 = EXPOSURE_NAMES
+        groups = [[j for j, e in enumerate(exposures) if e == g] for g in ((), (z1,), (z2,))]
+        j12 = exposures.index(EXPOSURE_NAMES) if EXPOSURE_NAMES in exposures else None
+        return groups, j12
+
+    @given(binary_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_column_groups_match_the_term_scan(self, table):
+        rows, names, formula = table
+        spec = ei.parse_formula(formula)
+        dist = ei.covariate_distribution(ei.Dataset(cells=rows, covariate_names=names))
+        groups, _, j12, _, _ = _pattern_design(spec, dist)
+        assert ([g.tolist() for g in groups], j12) == self.scanned_groups(spec)
 
     def test_levels_match_the_full_design(self, dataset):
         rng = np.random.default_rng(11)

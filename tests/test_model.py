@@ -117,7 +117,7 @@ class TestExpandDataset:
         X, s, n = ei.expand_dataset(data, spec)
         assert X.tolist() == [[1.0]]
 
-    def test_rows_match_build_design_row(self, dataset, spec_full):
+    def test_rows_match_design_matrix(self, dataset, spec_full):
         X, _, _ = ei.expand_dataset(dataset, spec_full)
         k = len(dataset.covariate_names)
         for i, cell in enumerate(dataset.cells.tolist()):
@@ -191,6 +191,18 @@ class TestParseFormula:
             ei.parse_formula("")
         with pytest.raises(SpecificationError):
             ei.parse_formula("y ~ z1:z2:x1")
+
+    def test_outcome_name_is_optional(self):
+        assert ei.parse_formula("z1 + z2") == ei.parse_formula("y ~ z1 + z2")
+
+    @pytest.mark.parametrize("text, message", [
+        ("~ z1", "formula has '~' but no outcome name"),
+        ("y ~ z1 + 1x", "malformed term '1x'"),
+    ])
+    def test_refusal_messages(self, text, message):
+        with pytest.raises(SpecificationError) as err:
+            ei.parse_formula(text)
+        assert str(err.value) == message
 
 
 class TestUnknownVariables:

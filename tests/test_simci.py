@@ -53,7 +53,7 @@ class TestCholesky:
         L = cholesky(np.zeros((4, 4)))
         assert not L.any()
 
-    def test_near_singular_gets_jitter(self):
+    def test_singular_covariance_is_refused(self):
         # cholesky adds no diagonal jitter: a singular covariance is refused
         v = np.array([1.0, 1.0])
         sigma = np.outer(v, v)  # rank one
@@ -63,6 +63,11 @@ class TestCholesky:
     def test_not_psd_raises(self):
         with pytest.raises(NotPositiveSemiDefiniteError):
             cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError) as err:
+            cholesky(np.ones((2, 3)))
+        assert str(err.value) == "sigma must be square"
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
