@@ -17,6 +17,14 @@ depends on the row blocking. A row with a predictor beyond +-LOGIT_CLAMP is
 clipped there and its RCOR, like a risk table's, is the weighted
 per-stratum contrast. The last bits of a value depend on numpy's SIMD exp,
 the BLAS kernel and, past one tile, the tiling.
+
+Rows are evaluated in their own precision. float32 rows (simulate's draws)
+run the predictors, the kernel's passes and each tile's pattern sums in
+float32; everything after those sums (the tiles' total, the population
+risks, RMOR, RMRR, DMRD, exp(beta12)*sum(w) and a clipped row's contrast)
+is float64, as is every value of float64 rows (measure_set, risk_table and
+every other caller). A float32 pattern sum is within about 1e-6 relative of
+the float64 one, far inside the Monte Carlo error of an interval endpoint.
 """
 
 from __future__ import annotations
@@ -54,6 +62,10 @@ MEASURE_IDS = ("RCOR", "RCRR", "RMOR", "RMRR", "DMRD")
 # to +-LOGIT_CLAMP, the log-odds of 1 - RISK_CLAMP
 RISK_CLAMP = 1e-12
 LOGIT_CLAMP = float(np.log((1.0 - RISK_CLAMP) / RISK_CLAMP))
+# the clip bound as a scalar of each precision the kernel runs in, so that
+# numpy 1.x's value-based promotion and numpy 2's weak Python scalars compare
+# a float32 row with the same number
+CLIP = {np.dtype(t): t(LOGIT_CLAMP) for t in (np.float32, np.float64)}
 
 # batch_measures evaluates draws in blocks of about this many risks (1 MB of
 # float64), so its memory does not grow with the number of draws
@@ -130,6 +142,16 @@ def _pattern_design(spec: ModelSpec, dist: CovariateDistribution):
     return groups, tiles, j12, colmax, w
 
 
+def _in_precision(design, dtype):
+    """`design` with its tiles' designs and weights in dtype, the precision of
+    the rows it is to evaluate; colmax and the weights (S,) stay float64."""
+    groups, tiles, j12, colmax, w = design
+    if tiles[0][2].dtype == dtype:
+        return design
+    tiles = [(cut, [d.astype(dtype) for d in D], wt.astype(dtype)) for cut, D, wt in tiles]
+    return groups, tiles, j12, colmax, w
+
+
 def _predictors(parts, beta12, D, V):
     """-eta at one tile's patterns, with D from `_pattern_design`, of the
     rows whose negated column groups are `parts` and z1:z2 coefficients
@@ -148,7 +170,9 @@ def _predictors(parts, beta12, D, V):
 
 def _contrast(Q, w):
     """Weighted sum of the per-stratum odds-ratio ratios
-    exp(eta11 - eta01 - eta10 + eta00), from Q = -eta (4, m, S)."""
+    exp(eta11 - eta01 - eta10 + eta00), from Q = -eta (4, m, S), in float64:
+    a clipped row's reaches exp(4 * LOGIT_CLAMP), beyond float32's range."""
+    Q = Q.astype(float, copy=False)
     # grouped so that swapping z1 and z2 gives the same bits
     return np.exp((Q[1] + Q[2]) - (Q[3] + Q[0])) @ w
 
@@ -166,14 +190,16 @@ def _marginal(pr, qr):
 
 def _kernel(V, w, scan, contrast, clamped):
     """The kernel on one tile of weights w (St,), from -eta in V[:4] of V
-    (10, m, St), which then holds 1 - P, the risks P and RCRR quotients. With
-    `scan`, a row beyond +-LOGIT_CLAMP is clipped and flagged in `clamped`
-    (m,); without, the caller has ruled such rows out. Returns the weighted
-    sums (10, m) of 1 - P, P, RCRR and, with `contrast`, the contrast, or 0."""
+    (10, m, St), which then holds 1 - P, the risks P and RCRR quotients, all in
+    V's precision. With `scan`, a row beyond +-LOGIT_CLAMP is clipped and
+    flagged in `clamped` (m,); without, the caller has ruled such rows out.
+    Returns the weighted sums (10, m), float64, of 1 - P, P, RCRR and, with
+    `contrast`, the contrast, or 0."""
     Q, P, R = V[:4], V[4:8], V[8:]
-    if scan and (Q.min() < -LOGIT_CLAMP or Q.max() > LOGIT_CLAMP):  # one scan per tile
-        clamped |= (Q.min(axis=(0, 2)) < -LOGIT_CLAMP) | (Q.max(axis=(0, 2)) > LOGIT_CLAMP)
-        np.clip(Q, -LOGIT_CLAMP, LOGIT_CLAMP, out=Q)
+    clip = CLIP[Q.dtype]
+    if scan and (Q.min() < -clip or Q.max() > clip):  # one scan per tile
+        clamped |= (Q.min(axis=(0, 2)) < -clip) | (Q.max(axis=(0, 2)) > clip)
+        np.clip(Q, -clip, clip, out=Q)
     sums = np.empty((10, Q.shape[1]))
     sums[9] = _contrast(Q, w) if contrast else 0.0
     np.exp(Q, out=Q)  # e = exp(-eta), in place
@@ -183,7 +209,7 @@ def _kernel(V, w, scan, contrast, clamped):
     np.divide(P[3], P[1], out=R[0])
     np.divide(P[2], P[0], out=R[1])
     np.divide(R[0], R[1], out=R[0])
-    np.matmul(V[:9], w, out=sums[:9])  # sums of 1 - P, of P and of RCRR
+    np.matmul(V[:9], w, out=sums[:9])  # sums of 1 - P, of P and of RCRR, in V's precision
     return sums
 
 
@@ -191,14 +217,15 @@ def _measures(block, design, scan, buffer, risks=None):
     """The five measures (5, m) in MEASURE_IDS order, population risks and
     complements (4, m) and clamp flags (m,) of the rows `block` (m, k), m a
     multiple of four, tile by tile in `buffer` (10 * m * first tile's width
-    floats), adding the tiles' sums in pattern order. `scan` (tiles,) marks
-    the tiles that may pass the clamp; if any does, each row's RCOR, if it
-    is clipped, is its contrast. `risks` (4, m, S) receives the risks."""
+    floats of the rows' precision), adding the tiles' float64 sums in pattern
+    order. `scan` (tiles,) marks the tiles that may pass the clamp; if any
+    does, each row's RCOR, if it is clipped, is its contrast. `risks`
+    (4, m, S) receives the risks."""
     groups, tiles, j12, _, w = design
     m = len(block)
     # rounding is symmetric, so products with -beta give -eta exactly
     parts = [-block[:, g] for g in groups]
-    beta12 = np.zeros(m) if j12 is None else block[:, j12]
+    beta12 = np.zeros(m, block.dtype) if j12 is None else block[:, j12]
     sums, clamped, contrast = None, np.zeros(m, dtype=bool), scan.any()
     for (cut, D, wt), scan_tile in zip(tiles, scan):
         V = buffer[:10 * m * len(wt)].reshape(10, m, len(wt))
@@ -208,15 +235,18 @@ def _measures(block, design, scan, buffer, risks=None):
         if risks is not None:
             risks[:, :, cut] = V[4:8]
     with np.errstate(over="ignore"):  # beta12 > 709 only in a clamped row
-        rcor_ = np.where(clamped, sums[9], np.exp(beta12) * w.sum())
+        rcor_ = np.where(clamped, sums[9], np.exp(beta12, dtype=float) * w.sum())
     values = np.stack([rcor_, sums[8], *_marginal(sums[4:8], sums[:4])])
     return values, sums[4:8], sums[:4], clamped
 
 
 # a tile's rows may reach the clamp only when their bound sum_j |beta_j| *
-# colmax_j does; the margin is far wider than the rounding of -eta, which is
-# within a few k * eps of that bound
+# colmax_j does. The margin is far wider than the rounding of -eta, which is
+# within about (k + 6) * u of that bound (Higham 2002, ch. 3), u the unit
+# roundoff of the rows' precision: 2**-53 for float64 rows, and 2**-24 for
+# float32 rows, whose margin holds for up to 16 000 columns
 CLAMP_BOUND = LOGIT_CLAMP * (1.0 - 1e-9)
+CLAMP_BOUND32 = LOGIT_CLAMP * (1.0 - 1e-3)
 
 
 def _blocks(B, design, risks=None):
@@ -224,14 +254,17 @@ def _blocks(B, design, risks=None):
     four rows: about BLOCK_ELEMENTS // (4 * S) rows if the S patterns fit one
     tile, at most PATTERN_TILE if not. Yields, per block, its first row and
     the outputs of `_measures` for its rows of B. A tile whose coefficient
-    bound is clear of LOGIT_CLAMP skips the clamp scan; a NaN bound scans."""
+    bound is clear of LOGIT_CLAMP skips the clamp scan; a NaN bound scans.
+    The kernel runs in B's precision, float32 or float64, which the design's
+    tiles must share."""
     _, tiles, _, colmax, _ = design
     width = len(tiles[0][-1])
     step = 4 * max(1, BLOCK_ELEMENTS // (16 * width))
     if len(tiles) > 1:  # slabs of PATTERN_TILE rows x tile width stay in L2
         step = min(step, PATTERN_TILE)
     # a tile's predictors, risks and RCRR quotients, reused by every block
-    buffer = np.empty(10 * min(step, len(B) + -len(B) % 4) * width)
+    buffer = np.empty(10 * min(step, len(B) + -len(B) % 4) * width, B.dtype)
+    bound = CLAMP_BOUND32 if B.dtype == np.float32 else CLAMP_BOUND
     for start in range(0, len(B), step):
         block = B[start:start + step]
         m = len(block)
@@ -241,8 +274,8 @@ def _blocks(B, design, risks=None):
         # gemv, not gemm, and OpenBLAS's gemv sums the rows after the last
         # group of four in another order.
         if m % 4:
-            block = np.vstack([block, np.zeros((4 - m % 4, B.shape[1]))])
-        scan = ~((np.abs(block) @ colmax).max(axis=0) < CLAMP_BOUND)
+            block = np.vstack([block, np.zeros((4 - m % 4, B.shape[1]), B.dtype)])
+        scan = ~((np.abs(block) @ colmax).max(axis=0) < bound)
         values, pr, qr, clamped = _measures(block, design, scan, buffer, risks)
         yield start, values[:, :m], pr[:, :m], qr[:, :m], clamped[:m]
 
@@ -343,15 +376,20 @@ def batch_measures(coefficient_matrix, spec: ModelSpec, dist: CovariateDistribut
                    design=None):
     """Vectorized measure evaluation over many parameter vectors.
 
-    Returns (dict measure_id -> array of shape (n,), clamp count). Each row of
-    `coefficient_matrix` gives the same values as `measure_set` on that row,
-    and no value depends on the block size. `design` is as for
-    `measure_set`.
+    Returns (dict measure_id -> float64 array of shape (n,), clamp count).
+    No value depends on the block size. Rows are evaluated in their own
+    precision: float64 rows (any dtype but float32 is taken as float64) give
+    the same values as `measure_set` on each row; float32 rows, as `simulate`
+    passes its draws, run the kernel's passes in float32 and the rest in
+    float64 (see the module docstring). `design` is as for `measure_set`,
+    and is cast to float32 here unless the caller has cast it.
     """
-    B = np.asarray(coefficient_matrix, dtype=float)
+    B = np.asarray(coefficient_matrix)
+    B = B.astype(np.float32 if B.dtype == np.float32 else float, copy=False)
     values = np.empty((len(MEASURE_IDS), len(B)))
     n_clamped = 0
-    for start, block, _, _, clamped in _blocks(B, design or _pattern_design(spec, dist)):
+    design = _in_precision(design or _pattern_design(spec, dist), B.dtype)
+    for start, block, _, _, clamped in _blocks(B, design):
         values[:, start:start + len(clamped)] = block
         n_clamped += int(clamped.sum())
     return dict(zip(MEASURE_IDS, values)), n_clamped

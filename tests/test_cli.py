@@ -540,6 +540,24 @@ class TestDiagnostics:
                 assert quiet[name] == loud[name], name
         assert json.loads(loud["report.json"])["diagnostics"]["n_clamped_draws"] == 3
 
+    def test_clipped_draws_beyond_float32_range_serialize(self, tmp_path, capsys, monkeypatch):
+        # draws 100 standard errors out: every one is clipped, and the upper
+        # RCOR endpoint, a clipped draw's weighted contrast, lies beyond
+        # float32's range. simulate sums that contrast in float64, so it stays
+        # finite and report.json, written with allow_nan=False, still serializes
+        real = cli.simulate
+        monkeypatch.setattr(cli, "simulate", lambda fit, *args: real(
+            dataclasses.replace(fit, cov_robust=1e4 * fit.cov_robust), *args))
+        out = tmp_path / "out"
+        rc = run_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL, "--draws", "1000",
+                     "--seed", "3", "--format", "json,csv", "--out", str(out))
+        assert rc == cli.EXIT_OK
+        assert capsys.readouterr().err.startswith("warning: 1000 of 1000 draws had a risk clamped")
+        bundle = json.loads((out / "report.json").read_text(), parse_constant=_no_constant)
+        assert bundle["diagnostics"]["n_clamped_draws"] == 1000
+        assert bundle["measures"]["RCOR"]["intervals"]["0.95"][1] > 1e40
+        assert "inf" not in (out / "draws.csv").read_text()
+
 
 def test_well_posed_run_imports_no_scipy(tmp_path):
     rc, scipy_modules, _ = fresh_cli("--fixture", "nguyen2008", "--formula", FULL_MODEL,

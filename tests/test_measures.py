@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import epinteract as ei
 from epinteract.data import EXPOSURE_NAMES, CovariateDistribution
-from epinteract.measures import (EXPOSURE_LEVELS, LOGIT_CLAMP, PATTERN_TILE, RiskTable,
-                                 _contrast, _measures, _pattern_design, _predictors)
+from epinteract.measures import (CLAMP_BOUND32, CLIP, EXPOSURE_LEVELS, LOGIT_CLAMP, PATTERN_TILE,
+                                 RiskTable, _blocks, _contrast, _in_precision, _measures,
+                                 _pattern_design, _predictors)
 from epinteract.model import design_matrix
+from epinteract.simci import _normal_block, cholesky
 
 from conftest import (FULL_MEASURES, FULL_MODEL, REDUCED_MEASURES, REDUCED_MODEL,
                       binary_tables, gen_wide_module, random_risk_table)
@@ -737,6 +739,31 @@ class TestClampBound:
         rng = np.random.default_rng(20)
         cases = [(fit_full.coefficients + rng.normal(0, 0.5, size=(1001, 8)), spec_full, dist),
                  self.wide_draws()]
+        self.check_forced_scan(cases, "CLAMP_BOUND", monkeypatch)
+
+    def test_forced_float32_scan_gives_the_same_bits(self, fit_full, spec_full, dist,
+                                                     monkeypatch):
+        # float32 rows, with the margin of CLAMP_BOUND32: the random rows, and
+        # rows whose bound, which the all-ones pattern at z = (1, 1) attains,
+        # lies just under it
+        rng = np.random.default_rng(20)
+        cases = [(fit_full.coefficients + rng.normal(0, 0.5, size=(1001, 8)), spec_full, dist),
+                 self.wide_draws()]
+        for B, spec, d in cases[:]:
+            colmax = _pattern_design(spec, d)[3]
+            edge = np.abs(rng.normal(0, 1, size=(64, B.shape[1])))
+            edge[::2] *= -1  # eta at +bound and at -bound
+            edge *= (CLAMP_BOUND32 * (1 - 1e-6) / (np.abs(edge) @ colmax).max(axis=1))[:, None]
+            cases.append((edge, spec, d))
+        cases = [(B.astype(np.float32), spec, d) for B, spec, d in cases]
+        for B, spec, d in cases[2:]:
+            assert (np.abs(B) @ _pattern_design(spec, d)[3]).max() < CLAMP_BOUND32
+        self.check_forced_scan(cases, "CLAMP_BOUND32", monkeypatch)
+
+    @staticmethod
+    def check_forced_scan(cases, bound, monkeypatch):
+        """No row of `cases` comes near the clamp; forcing every tile to scan by
+        setting `bound` to -inf changes no bit and no count."""
         kernel, scans = ei.measures._measures, []
 
         def recording(block, design, scan, *args):
@@ -750,7 +777,7 @@ class TestClampBound:
             assert n_clamped == 0
             assert not any(scans)  # the bound ruled every tile's scan out
             with monkeypatch.context() as m:
-                m.setattr(ei.measures, "CLAMP_BOUND", -np.inf)
+                m.setattr(ei.measures, bound, -np.inf)
                 scans.clear()
                 scanned, scanned_clamped = ei.measures.batch_measures(B, spec, d)
                 assert all(scans)
@@ -766,6 +793,62 @@ class TestClampBound:
         ms = ei.measure_set(B[5], spec_full, dist)
         assert ms.clamped
         assert [values[mid][5] for mid in ei.MEASURE_IDS] == list(ms.as_dict().values())
+
+    @staticmethod
+    def clamp_flags(B, spec, dist):
+        """Each row's clamp flag, from the kernel run in B's precision."""
+        design = _in_precision(_pattern_design(spec, dist), B.dtype)
+        return np.concatenate([clamped for *_, clamped in _blocks(B, design)])
+
+    def test_float32_row_past_the_float32_clip_is_clamped(self, spec_full, dist):
+        # the intercept alone: -eta is -beta0 at every cell, so a float32 row
+        # meets the float32 clip exactly at beta0 = +-CLIP and passes it one
+        # float32 step beyond
+        clip = CLIP[np.dtype(np.float32)]
+        beyond = np.nextafter(clip, np.float32(np.inf))
+        B = np.zeros((5, 8), np.float32)
+        B[:, 0] = [clip, -clip, beyond, -beyond, 0.0]
+        assert (self.clamp_flags(B, spec_full, dist) == [False, False, True, True, False]).all()
+        values, n_clamped = ei.measures.batch_measures(B, spec_full, dist)
+        assert n_clamped == 2
+        for mid in ei.MEASURE_IDS:
+            assert np.isfinite(values[mid]).all()
+        # every stratum's contrast is exp(0): a clipped row's RCOR is the weight sum
+        np.testing.assert_allclose(values["RCOR"], 1.0, rtol=1e-6)
+
+    def test_float32_clipped_contrast_passes_float32_range(self, spec_full, dist):
+        # eta00 = eta11 = 100 and eta01 = eta10 = -100, all clipped: every
+        # stratum's contrast is exp(4 * LOGIT_CLAMP), about 1e48, beyond
+        # float32's range, so it is summed in float64
+        B = np.zeros((1, 8), np.float32)
+        B[0, :4] = [100.0, -200.0, -200.0, 400.0]
+        values, n_clamped = ei.measures.batch_measures(B, spec_full, dist)
+        assert n_clamped == 1
+        assert values["RCOR"][0] == pytest.approx(math.exp(4 * LOGIT_CLAMP), rel=1e-4)
+        assert values["RCOR"][0] > np.finfo(np.float32).max
+
+    def test_float32_rows_clamp_as_float64_rows_do(self, fit_full, spec_full, dist):
+        # 4099 draws 12 standard errors out, rounded to float32 as simulate
+        # rounds its draws; about a quarter of them pass the clamp. The
+        # float32 kernel clamps and counts the same rows as a float64 pass of
+        # the same rows, a clipped row's RCOR (its contrast, summed in float64
+        # since it may pass float32's range) stays finite, and every value
+        # stays within float32 rounding of the float64 one
+        U = _normal_block(3, 0, 4100, 8)[:4099]
+        B = (fit_full.coefficients + 12 * U @ cholesky(fit_full.cov_robust).T).astype(np.float32)
+        flags = self.clamp_flags(B, spec_full, dist)
+        np.testing.assert_array_equal(flags, self.clamp_flags(B.astype(float), spec_full, dist))
+        single, n_single = ei.measures.batch_measures(B, spec_full, dist)
+        double, n_double = ei.measures.batch_measures(B.astype(float), spec_full, dist)
+        assert n_single == n_double == flags.sum() > 1000
+        assert single["RCOR"][flags].max() > 1e20
+        for mid in ei.MEASURE_IDS:
+            assert single[mid].dtype == np.float64
+            assert np.isfinite(single[mid]).all()
+            if mid == "DMRD":
+                np.testing.assert_allclose(single[mid], double[mid], rtol=0, atol=1e-6)
+            else:
+                np.testing.assert_allclose(single[mid], double[mid], rtol=1e-5)
 
     def test_bound_reads_the_column_maxima(self):
         # the constructor accepts a covariate of 2: x1 = 2 doubles beta_x1's

@@ -31,7 +31,7 @@ from epinteract.simci import (
     simulate,
 )
 
-from conftest import FULL_MODEL
+from conftest import FULL_MODEL, gen_wide_module
 
 
 class TestCholesky:
@@ -360,8 +360,9 @@ class TestSimulate:
 
     def test_draws_match_draw_parameters(self, fit_full, spec_full, dist, monkeypatch):
         # the fixture's robust covariance: draw_parameters pads its product to
-        # four rows as simulate does, so each draw and its measures are equal
-        # to simulate's bit for bit, on either side of a CHUNK boundary
+        # four rows as simulate does, so each draw rounded to float32, and its
+        # measures from batch_measures on that float32 row alone, are equal to
+        # simulate's bit for bit, on either side of a CHUNK boundary
         seen = []
         real = simci.batch_measures
 
@@ -374,11 +375,14 @@ class TestSimulate:
         config = SimulationConfig(n_draws=CHUNK + 5, seed=13)
         simulate(fit_full, spec_full, dist, config)
         draws = np.concatenate([d for d, _ in seen])
-        rcor = np.concatenate([v["RCOR"] for _, v in seen])
+        assert draws.dtype == np.float32
+        values = {mid: np.concatenate([v[mid] for _, v in seen]) for mid in ei.MEASURE_IDS}
         for i in [*range(50), *range(CHUNK - 5, CHUNK + 5)]:
-            coef = draw_parameters(fit_full, config, i)
+            coef = draw_parameters(fit_full, config, i).astype(np.float32)
             np.testing.assert_array_equal(coef, draws[i])
-            assert ei.measure_set(coef, spec_full, dist).rcor == rcor[i]
+            alone, _ = real(coef[None], spec_full, dist)
+            assert {mid: v[0] for mid, v in alone.items()} == \
+                {mid: v[i] for mid, v in values.items()}
 
     def test_unconverged_fit_rejected(self, fit_full, spec_full, dist):
         bad = dataclasses.replace(fit_full, converged=False)
@@ -396,6 +400,43 @@ class TestSimulate:
         assert ei.dmrd(pr_f) == pytest.approx(-ei.dmrd(pr), abs=1e-12)
         assert ei.rmor(pr_f) == pytest.approx(1.0 / ei.rmor(pr), rel=1e-12)
         assert ei.rmrr(pr_f) == pytest.approx(1.0 / ei.rmrr(pr), rel=1e-12)
+
+
+def _wide():
+    """The wide-strata benchmark data at seed 1: its fit, model and patterns."""
+    gen_wide = gen_wide_module()
+    data = ei.Dataset(cells=gen_wide.generate(1), covariate_names=gen_wide.COVARIATE_NAMES)
+    spec = ei.parse_formula(gen_wide.FORMULA)
+    return ei.fit(*ei.expand_dataset(data, spec)), spec, ei.covariate_distribution(data)
+
+
+class TestSinglePrecision:
+    """simulate evaluates its draws in float32 up to the per-pattern sums. Each
+    endpoint stays within 1e-5 relative (DMRD: 1e-6 absolute) of the endpoint
+    of a float64 pass over the same draws, at least ten times below its Monte
+    Carlo error on both cases here (at least 4e-5, relative or absolute);
+    the largest deviation was 3.6e-7 when this was written."""
+
+    @pytest.mark.parametrize("case, n_draws", [("fixture", 100_000), ("wide", 1000)])
+    def test_endpoints_match_a_float64_pass(self, case, n_draws, fit_full, spec_full, dist):
+        fit, spec, d = (fit_full, spec_full, dist) if case == "fixture" else _wide()
+        config = SimulationConfig(n_draws=n_draws, seed=1)
+        sim = simulate(fit, spec, d, config)
+        U = _normal_block(1, 0, n_draws, len(fit.coefficients))
+        draws = fit.coefficients + U @ cholesky(config.covariance(fit)).T
+        double, n_clamped = ei.measures.batch_measures(draws, spec, d)
+        assert sim.n_clamped_draws == n_clamped == 0
+        for mid in ei.MEASURE_IDS:
+            expected = _endpoints(np.sort(double[mid]), config.levels)
+            tolerance = {"rtol": 0, "atol": 1e-6} if mid == "DMRD" else {"rtol": 1e-5}
+            for level, ends in sim[mid].endpoints.items():
+                np.testing.assert_allclose(ends, expected[level], **tolerance, err_msg=mid)
+        # RCOR keeps its closed form exp(beta12) * sum(w), in float64, at each
+        # draw's float32 beta12 (test_simulated_rcor_endpoints_match_the_closed_form
+        # holds its endpoints to the normal quantiles)
+        _, _, j12, _, w = ei.measures._pattern_design(spec, d)
+        beta12 = draws.astype(np.float32)[:, j12].astype(float)
+        np.testing.assert_array_equal(sim["RCOR"].draws, np.sort(np.exp(beta12) * w.sum()))
 
 
 class TestConfig:
@@ -448,7 +489,8 @@ class TestStream:
     def test_simulate_rows_equal_draw_parameters_across_chunks(
             self, fit_full, spec_full, dist, monkeypatch):
         # zero mean, identity covariance: each parameter draw is exactly its
-        # normals, so any chunking slip shows up as a bit difference
+        # normals rounded to float32, so any chunking slip shows up as a bit
+        # difference
         k = len(fit_full.coefficients)
         unit = dataclasses.replace(
             fit_full, coefficients=np.zeros(k), cov_robust=np.eye(k)
@@ -460,20 +502,24 @@ class TestStream:
         assert all(len(chunk) <= CHUNK for chunk in seen)
         draws = np.concatenate(seen)
         assert draws.shape == (CHUNK + 3, k)
+        assert draws.dtype == np.float32
         for i in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2):
-            np.testing.assert_array_equal(draws[i], draw_parameters(unit, config, i))
-        np.testing.assert_array_equal(draws, _normal_block(5, 0, CHUNK + 3, k))
+            np.testing.assert_array_equal(
+                draws[i], draw_parameters(unit, config, i).astype(np.float32))
+        np.testing.assert_array_equal(draws, _normal_block(5, 0, CHUNK + 3, k).astype(np.float32))
 
     @pytest.mark.parametrize("n_draws", [CHUNK + 1, CHUNK + 3])
     def test_simulate_equals_one_whole_matrix_pass(self, fit_full, spec_full, dist, n_draws):
         # the fixture's robust covariance, so the chunked products U @ L.T and
-        # the chunk boundaries are held to one whole product and one kernel
-        # pass, bit for bit; a last chunk of one row must not change a bit
+        # the chunk boundaries are held to one whole product, rounded to
+        # float32, and one float32 kernel pass, bit for bit; a last chunk of
+        # one row must not change a bit
         config = SimulationConfig(n_draws=n_draws, seed=5)
         sim = simulate(fit_full, spec_full, dist, config)
         L = cholesky(fit_full.cov_robust)
         U = _normal_block(5, 0, n_draws, len(fit_full.coefficients))
-        whole, n_clamped = simci.batch_measures(fit_full.coefficients + U @ L.T, spec_full, dist)
+        draws = (fit_full.coefficients + U @ L.T).astype(np.float32)
+        whole, n_clamped = simci.batch_measures(draws, spec_full, dist)
         for mid in ei.MEASURE_IDS:
             np.testing.assert_array_equal(sim[mid].draws, np.sort(whole[mid]))
         assert sim.n_clamped_draws == n_clamped
