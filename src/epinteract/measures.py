@@ -62,10 +62,6 @@ MEASURE_IDS = ("RCOR", "RCRR", "RMOR", "RMRR", "DMRD")
 # to +-LOGIT_CLAMP, the log-odds of 1 - RISK_CLAMP
 RISK_CLAMP = 1e-12
 LOGIT_CLAMP = float(np.log((1.0 - RISK_CLAMP) / RISK_CLAMP))
-# the clip bound as a scalar of each precision the kernel runs in, so that
-# numpy 1.x's value-based promotion and numpy 2's weak Python scalars compare
-# a float32 row with the same number
-CLIP = {np.dtype(t): t(LOGIT_CLAMP) for t in (np.float32, np.float64)}
 
 # batch_measures evaluates draws in blocks of about this many risks (1 MB of
 # float64), so its memory does not grow with the number of draws
@@ -196,7 +192,9 @@ def _kernel(V, w, scan, contrast, clamped):
     Returns the weighted sums (10, m), float64, of 1 - P, P, RCRR and, with
     `contrast`, the contrast, or 0."""
     Q, P, R = V[:4], V[4:8], V[8:]
-    clip = CLIP[Q.dtype]
+    # the clip bound in V's precision: numpy 1.x's value-based promotion and
+    # numpy 2's weak Python scalars then compare the same number
+    clip = Q.dtype.type(LOGIT_CLAMP)
     if scan and (Q.min() < -clip or Q.max() > clip):  # one scan per tile
         clamped |= (Q.min(axis=(0, 2)) < -clip) | (Q.max(axis=(0, 2)) > clip)
         np.clip(Q, -clip, clip, out=Q)
@@ -241,12 +239,11 @@ def _measures(block, design, scan, buffer, risks=None):
 
 
 # a tile's rows may reach the clamp only when their bound sum_j |beta_j| *
-# colmax_j does. The margin is far wider than the rounding of -eta, which is
-# within about (k + 6) * u of that bound (Higham 2002, ch. 3), u the unit
-# roundoff of the rows' precision: 2**-53 for float64 rows, and 2**-24 for
-# float32 rows, whose margin holds for up to 16 000 columns
-CLAMP_BOUND = LOGIT_CLAMP * (1.0 - 1e-9)
-CLAMP_BOUND32 = LOGIT_CLAMP * (1.0 - 1e-3)
+# colmax_j does. The margin is far wider than the rounding of -eta, within
+# about (k + 6) * u of that bound (Higham 2002, ch. 3), u the rows' unit
+# roundoff: 2**-24 for float32 rows of up to 16 000 columns, 2**-53 for
+# float64 rows. A tile inside the margin scans; no bit moves unless a row clips.
+CLAMP_BOUND = LOGIT_CLAMP * (1.0 - 1e-3)
 
 
 def _blocks(B, design, risks=None):
@@ -264,7 +261,6 @@ def _blocks(B, design, risks=None):
         step = min(step, PATTERN_TILE)
     # a tile's predictors, risks and RCRR quotients, reused by every block
     buffer = np.empty(10 * min(step, len(B) + -len(B) % 4) * width, B.dtype)
-    bound = CLAMP_BOUND32 if B.dtype == np.float32 else CLAMP_BOUND
     for start in range(0, len(B), step):
         block = B[start:start + step]
         m = len(block)
@@ -275,7 +271,7 @@ def _blocks(B, design, risks=None):
         # group of four in another order.
         if m % 4:
             block = np.vstack([block, np.zeros((4 - m % 4, B.shape[1]), B.dtype)])
-        scan = ~((np.abs(block) @ colmax).max(axis=0) < bound)
+        scan = ~((np.abs(block) @ colmax).max(axis=0) < CLAMP_BOUND)
         values, pr, qr, clamped = _measures(block, design, scan, buffer, risks)
         yield start, values[:, :m], pr[:, :m], qr[:, :m], clamped[:m]
 
@@ -381,8 +377,8 @@ def batch_measures(coefficient_matrix, spec: ModelSpec, dist: CovariateDistribut
     precision: float64 rows (any dtype but float32 is taken as float64) give
     the same values as `measure_set` on each row; float32 rows, as `simulate`
     passes its draws, run the kernel's passes in float32 and the rest in
-    float64 (see the module docstring). `design` is as for `measure_set`,
-    and is cast to float32 here unless the caller has cast it.
+    float64 (see the module docstring). `design` is as for `measure_set`;
+    it is cast here to the precision of the rows.
     """
     B = np.asarray(coefficient_matrix)
     B = B.astype(np.float32 if B.dtype == np.float32 else float, copy=False)

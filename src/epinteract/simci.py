@@ -7,8 +7,8 @@ endpoints are read off the empirical quantiles.
 
 Each draw is rounded to float32 for batch_measures, whose kernel then runs
 in float32 up to the per-pattern sums (see measures); the point estimates
-are measure_set's, in float64. With an all-zero covariance no draw is
-evaluated: every draw is the point, bit for bit.
+are measure_set's, in float64. With an all-zero covariance every draw is
+the point and stays float64, so it evaluates to measure_set's bits.
 
 Randomness is keyed by (seed, chunk). Draw i is row i % CHUNK of chunk
 c = i // CHUNK, whose normals are numpy's Generator normals (the ziggurat of
@@ -30,8 +30,7 @@ import numpy as np
 
 from .data import CovariateDistribution
 from .fitting import FitResult
-from .measures import (MEASURE_IDS, MeasureSet, _in_precision, _pattern_design, batch_measures,
-                       measure_set)
+from .measures import MEASURE_IDS, MeasureSet, _pattern_design, batch_measures, measure_set
 from .model import ModelSpec
 
 __all__ = [
@@ -192,7 +191,7 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
              config: SimulationConfig) -> SimulationResult:
     """Approximate sampling distribution of every measure, from one shared
     stream of parameter draws, generated and evaluated one CHUNK at a time on
-    the caller's thread, each draw rounded to float32."""
+    the caller's thread, in float32 unless the covariance is all zero."""
     if not fit.converged:
         raise ValueError("cannot simulate from a non-converged fit")
     L = cholesky(config.covariance(fit))
@@ -200,22 +199,20 @@ def simulate(fit: FitResult, spec: ModelSpec, dist: CovariateDistribution,
     design = _pattern_design(spec, dist)
     point = measure_set(fit.coefficients, spec, dist, design)
     point_values = point.as_dict()
-    if not L.any():  # no parameter uncertainty: every draw is the point
-        values[:] = np.array(list(point_values.values()))[:, None]
-        n_clamped = config.n_draws * point.clamped
-    else:
-        n_clamped = 0
-        single = _in_precision(design, np.float32)
-        for start in range(0, config.n_draws, CHUNK):
-            count = min(CHUNK, config.n_draws - start)
-            # a short last chunk is padded with its next draws to a multiple of
-            # four rows, so that a single row does not go to gemv instead of gemm
-            U = _normal_block(config.seed, start, count + -count % 4, len(fit.coefficients))
-            rows = (fit.coefficients + U @ L.T)[:count].astype(np.float32)
-            chunk, clamped = batch_measures(rows, spec, dist, single)
-            values[:, start:start + count] = list(chunk.values())
-            n_clamped += clamped
-        values.sort(axis=1)
+    # an all-zero factor makes every draw the point: float64 rows then give
+    # measure_set's bits and clamp flag
+    precision = np.float32 if L.any() else float
+    n_clamped = 0
+    for start in range(0, config.n_draws, CHUNK):
+        count = min(CHUNK, config.n_draws - start)
+        # a short last chunk is padded with its next draws to a multiple of
+        # four rows, so that a single row does not go to gemv instead of gemm
+        U = _normal_block(config.seed, start, count + -count % 4, len(fit.coefficients))
+        rows = (fit.coefficients + U @ L.T)[:count].astype(precision)
+        chunk, clamped = batch_measures(rows, spec, dist, design)
+        values[:, start:start + count] = list(chunk.values())
+        n_clamped += clamped
+    values.sort(axis=1)
 
     intervals = {
         mid: IntervalEstimate(point_values[mid], draws, _endpoints(draws, config.levels))

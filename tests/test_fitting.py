@@ -12,6 +12,7 @@ from epinteract.fitting import (
     SingularDesignError,
     _check_rank,
     deviance,
+    expit,
     log_likelihood,
     observed_information,
     score,
@@ -81,6 +82,33 @@ class TestFit:
         f = ei.fit(X, np.array([0.0, 9.0]), np.array([9.0, 9.0]))
         assert not f.converged
         assert "separation" in f.message
+
+    def test_iteration_cap_without_diverging_is_not_separation(self, dataset, spec_full,
+                                                               monkeypatch):
+        # one Newton step from the pooled logit leaves every |beta| and every
+        # fitted risk far from the separation thresholds
+        monkeypatch.setattr(ei.fitting, "MAX_ITER", 1)
+        X, s, n = ei.expand_dataset(dataset, spec_full)
+        f = ei.fit(X, s, n)
+        assert not f.converged
+        assert f.iterations == 1
+        assert f.message == "iteration cap reached"
+        assert np.abs(f.coefficients).max() <= ei.fitting.SEPARATION_COEF
+        p = expit(X @ f.coefficients)
+        assert ei.fitting.SEPARATION_PROB < p.min() <= p.max() < 1 - ei.fitting.SEPARATION_PROB
+
+    def test_fitted_risk_near_zero_is_separation(self, monkeypatch):
+        # x = 50 in the cell with no success: with no tolerance the fit runs to
+        # the iteration cap with |beta| about 2, but its fitted risk there is
+        # far below SEPARATION_PROB, so the verdict is separation
+        monkeypatch.setattr(ei.fitting, "SCORE_TOL", 0.0)
+        monkeypatch.setattr(ei.fitting, "STEP_TOL", 0.0)
+        X = np.array([[1.0, 0.0], [1.0, 50.0]])
+        f = ei.fit(X, np.array([5.0, 0.0]), np.array([10.0, 10.0]))
+        assert not f.converged
+        assert "separation" in f.message
+        assert 1.5 < np.abs(f.coefficients).max() < 2.5
+        assert expit(X @ f.coefficients).min() < ei.fitting.SEPARATION_PROB
 
     def test_invariant_to_row_order(self, dataset, spec_full, fit_full):
         X, s, n = ei.expand_dataset(dataset, spec_full)

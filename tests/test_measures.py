@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import epinteract as ei
 from epinteract.data import EXPOSURE_NAMES, CovariateDistribution
-from epinteract.measures import (CLAMP_BOUND32, CLIP, EXPOSURE_LEVELS, LOGIT_CLAMP, PATTERN_TILE,
+from epinteract.measures import (CLAMP_BOUND, EXPOSURE_LEVELS, LOGIT_CLAMP, PATTERN_TILE,
                                  RiskTable, _blocks, _contrast, _in_precision, _measures,
                                  _pattern_design, _predictors)
 from epinteract.model import design_matrix
@@ -735,17 +735,11 @@ class TestClampBound:
         B = beta + np.random.default_rng(21).normal(0, 0.05, size=(61, len(beta)))
         return B, spec, ei.covariate_distribution(data)
 
-    def test_forced_scan_gives_the_same_bits(self, fit_full, spec_full, dist, monkeypatch):
-        rng = np.random.default_rng(20)
-        cases = [(fit_full.coefficients + rng.normal(0, 0.5, size=(1001, 8)), spec_full, dist),
-                 self.wide_draws()]
-        self.check_forced_scan(cases, "CLAMP_BOUND", monkeypatch)
-
-    def test_forced_float32_scan_gives_the_same_bits(self, fit_full, spec_full, dist,
-                                                     monkeypatch):
-        # float32 rows, with the margin of CLAMP_BOUND32: the random rows, and
-        # rows whose bound, which the all-ones pattern at z = (1, 1) attains,
-        # lies just under it
+    def forced_scan_cases(self, fit_full, spec_full, dist, dtype):
+        """Rows of dtype: random rows near the fixture's and the wide data's
+        fits, and for each, rows whose bound, which the all-ones pattern at
+        z = (1, 1) attains, lies just under CLAMP_BOUND, with alternating
+        signs."""
         rng = np.random.default_rng(20)
         cases = [(fit_full.coefficients + rng.normal(0, 0.5, size=(1001, 8)), spec_full, dist),
                  self.wide_draws()]
@@ -753,12 +747,21 @@ class TestClampBound:
             colmax = _pattern_design(spec, d)[3]
             edge = np.abs(rng.normal(0, 1, size=(64, B.shape[1])))
             edge[::2] *= -1  # eta at +bound and at -bound
-            edge *= (CLAMP_BOUND32 * (1 - 1e-6) / (np.abs(edge) @ colmax).max(axis=1))[:, None]
+            edge *= (CLAMP_BOUND * (1 - 1e-6) / (np.abs(edge) @ colmax).max(axis=1))[:, None]
             cases.append((edge, spec, d))
-        cases = [(B.astype(np.float32), spec, d) for B, spec, d in cases]
+        cases = [(B.astype(dtype), spec, d) for B, spec, d in cases]
         for B, spec, d in cases[2:]:
-            assert (np.abs(B) @ _pattern_design(spec, d)[3]).max() < CLAMP_BOUND32
-        self.check_forced_scan(cases, "CLAMP_BOUND32", monkeypatch)
+            assert (np.abs(B) @ _pattern_design(spec, d)[3]).max() < CLAMP_BOUND
+        return cases
+
+    def test_forced_scan_gives_the_same_bits(self, fit_full, spec_full, dist, monkeypatch):
+        cases = self.forced_scan_cases(fit_full, spec_full, dist, float)
+        self.check_forced_scan(cases, "CLAMP_BOUND", monkeypatch)
+
+    def test_forced_float32_scan_gives_the_same_bits(self, fit_full, spec_full, dist,
+                                                     monkeypatch):
+        cases = self.forced_scan_cases(fit_full, spec_full, dist, np.float32)
+        self.check_forced_scan(cases, "CLAMP_BOUND", monkeypatch)
 
     @staticmethod
     def check_forced_scan(cases, bound, monkeypatch):
@@ -802,9 +805,9 @@ class TestClampBound:
 
     def test_float32_row_past_the_float32_clip_is_clamped(self, spec_full, dist):
         # the intercept alone: -eta is -beta0 at every cell, so a float32 row
-        # meets the float32 clip exactly at beta0 = +-CLIP and passes it one
+        # meets the float32 clip exactly at beta0 = +-clip and passes it one
         # float32 step beyond
-        clip = CLIP[np.dtype(np.float32)]
+        clip = np.float32(LOGIT_CLAMP)
         beyond = np.nextafter(clip, np.float32(np.inf))
         B = np.zeros((5, 8), np.float32)
         B[:, 0] = [clip, -clip, beyond, -beyond, 0.0]

@@ -358,6 +358,23 @@ class TestSimulate:
             assert lo == pytest.approx(sim[mid].point, rel=1e-9)
             assert hi == pytest.approx(sim[mid].point, rel=1e-9)
 
+    def test_zero_covariance_draws_are_the_point(self, fit_full, spec_full, dist):
+        # an all-zero covariance takes the one draw loop in float64: every draw,
+        # on both sides of a CHUNK boundary, is measure_set's point bit for bit,
+        # and a point past the clamp clamps every draw
+        config = SimulationConfig(n_draws=CHUNK + 3, seed=2)
+        zero = np.zeros_like(fit_full.cov_robust)
+        for shift, n_clamped in ((0.0, 0), (ei.measures.LOGIT_CLAMP + 10, CHUNK + 3)):
+            coef = fit_full.coefficients.copy()
+            coef[0] += shift
+            fit = dataclasses.replace(fit_full, coefficients=coef, cov_robust=zero)
+            sim = simulate(fit, spec_full, dist, config)
+            point = ei.measure_set(coef, spec_full, dist)
+            assert point.clamped == bool(n_clamped)
+            assert sim.n_clamped_draws == n_clamped
+            for mid, value in point.as_dict().items():
+                np.testing.assert_array_equal(sim[mid].draws, np.full(CHUNK + 3, value))
+
     def test_draws_match_draw_parameters(self, fit_full, spec_full, dist, monkeypatch):
         # the fixture's robust covariance: draw_parameters pads its product to
         # four rows as simulate does, so each draw rounded to float32, and its
